@@ -15,7 +15,7 @@
 
 use predtop_bench::{Protocol, TableWriter};
 use predtop_cluster::Platform;
-use predtop_core::{search_plan, search_plan_service, GrayBoxConfig, PredTop};
+use predtop_core::{run_search, search_plan_service, GrayBoxConfig, PredTop, SearchRequest};
 use predtop_gnn::ModelKind;
 use predtop_parallel::{InterStageOptions, MeshShape};
 use predtop_runtime::configured_threads;
@@ -76,7 +76,7 @@ fn main() {
         let profiler = SimProfiler::new(platform.clone(), proto.seed);
         let full_stack = ServiceBuilder::new(&profiler)
             .memoize()
-            .batched_auto()
+            .batched(configured_threads())
             .finish();
         let full = search_plan_service(model, cluster, &full_stack, &profiler, opts, None)
             .expect("the simulator stack serves every scenario");
@@ -96,13 +96,12 @@ fn main() {
 
         // ---- partial profiling ----------------------------------------
         let profiler_partial = SimProfiler::new(platform.clone(), proto.seed);
-        let partial = search_plan(
-            model,
-            cluster,
+        let partial = run_search(
+            &SearchRequest::new(model, cluster, partial_opts),
             &profiler_partial,
             &profiler_partial,
-            partial_opts,
-        );
+        )
+        .expect("the simulator serves every scenario");
         let partial_cost = profiler_partial.ledger().totals();
         eprintln!(
             "[fig10/{bench_name}] partial profiling: {} queries, {:.0} sim-s, plan {:.4}s",
@@ -173,7 +172,8 @@ fn main() {
             // ground truth for evaluating the chosen plan must not bill
             // the PredTOP ledger: use a fresh profiler
             let truth = SimProfiler::new(platform.clone(), proto.seed);
-            let outcome = search_plan(model, cluster, &pt, &truth, opts);
+            let outcome = run_search(&SearchRequest::new(model, cluster, opts), &pt, &truth)
+                .expect("every scenario was fitted");
             eprintln!(
                 "[fig10/{bench_name}] PredTOP-{}: {} stages profiled, plan {:.4}s",
                 kind.label(),

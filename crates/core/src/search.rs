@@ -1,17 +1,14 @@
 //! The use case (§VIII-B): parallelization-plan search driven by any
 //! latency source, evaluated against ground truth.
 //!
-//! Every entry point funnels through one service-driven engine
-//! ([`search_plan_service`]): the candidate work-list is enumerated and
-//! statically filtered exactly as before, but latency evaluation goes
-//! through a [`LatencyService`] — so any middleware stack assembled with
-//! [`predtop_service::ServiceBuilder`] (memoization, batched fan-out,
-//! instrumentation, fallback between sources) slots in without the
-//! search knowing. The legacy provider-based entry points are thin
-//! wrappers that build the canonical stack themselves; results are
-//! bit-identical to the pre-service engine because the stack evaluates
-//! the same work-list through the same `par_map_with` fan-out and the
-//! same [`solve_pipeline`] DP.
+//! One engine ([`search_plan_service`]) runs every search: the candidate
+//! work-list is enumerated and statically filtered, then evaluated
+//! through a [`LatencyService`] stack, then handed to the shared
+//! [`solve_pipeline`] DP. Callers describe a search as a
+//! [`SearchRequest`] and execute it with [`run_search`], which
+//! assembles the fixed stack around the latency source; the
+//! `predtop serve` engine holds its own long-lived stack and calls
+//! [`search_plan_service`] directly.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -20,12 +17,10 @@ use predtop_analyze::StaticLegality;
 use predtop_models::{ModelSpec, StageSpec};
 use predtop_parallel::{
     enumerate_candidates, solve_pipeline, CacheStats, EvaluatedCandidate, InterStageOptions,
-    MeshShape, ParallelConfig, PipelinePlan, StageLatencyProvider,
+    MeshShape, ParallelConfig, PipelinePlan,
 };
 use predtop_runtime::configured_threads;
-use predtop_service::{
-    LatencyQuery, LatencyService, ProviderService, ServiceBuilder, ServiceError, ServiceStack,
-};
+use predtop_service::{LatencyQuery, LatencyService, ServiceBuilder, ServiceError, ServiceStack};
 use predtop_sim::SimProfiler;
 use predtop_store::{ByteWriter, ObjectKind, Store};
 
@@ -66,7 +61,7 @@ pub struct SearchOutcome {
     pub service: Option<ServiceReport>,
 }
 
-/// The service-driven engine every entry point funnels through: run the
+/// The service-driven engine every search runs through: run the
 /// inter-stage DP for `model` on `cluster` with `stack` as the latency
 /// source, then re-evaluate the winning plan with the ground-truth
 /// `profiler`.
@@ -77,7 +72,7 @@ pub struct SearchOutcome {
 /// with results landing at fixed indices; phase 3 is the shared
 /// [`solve_pipeline`] DP. Identical work-lists and per-query values give
 /// bit-identical plans, so any transparent middleware combination
-/// reproduces the pre-service engine exactly.
+/// chooses the same plan.
 ///
 /// Errors if any candidate query fails after the whole stack (including
 /// any `Fallback` chain) has been consulted.
@@ -96,8 +91,8 @@ pub fn search_plan_service<S: LatencyService>(
 ) -> Result<SearchOutcome, ServiceError> {
     let started = Instant::now();
 
-    // Phase 1: enumerate + static filter (identical to the provider
-    // engine's phase 1 — same order, same rejections).
+    // Phase 1: enumerate + static filter, in the canonical work-list
+    // order.
     let full = enumerate_candidates(model, cluster, opts);
     let enumerated = full.len();
     // the legality counters are cumulative over the filter's lifetime,
@@ -169,11 +164,9 @@ pub fn search_plan_service<S: LatencyService>(
 }
 
 /// One unified description of a plan search: the problem (`model`,
-/// `cluster`, `opts`) plus the execution knobs the legacy thin-lifts
-/// used to take positionally. Build one with [`SearchRequest::new`],
-/// refine it with the chained setters, and execute it with
-/// [`run_search`] — the CLI, the `predtop serve` daemon, and the tests
-/// all construct the same value.
+/// `cluster`, `opts`) plus its execution knobs. Build one with
+/// [`SearchRequest::new`], refine it with the chained setters, and
+/// execute it with [`run_search`].
 #[derive(Clone)]
 pub struct SearchRequest<'a> {
     /// The model whose pipeline is being partitioned.
@@ -233,13 +226,18 @@ impl<'a> SearchRequest<'a> {
 /// Execute one [`SearchRequest`] with `source` as the latency source,
 /// re-evaluating the winning plan with the ground-truth `profiler`.
 ///
-/// This is the single execution path behind every `search_plan*` entry
-/// point. Without a store the stack is `Batched` only — bit-identical
-/// to the historical [`predtop_service::provider_stack`] engine; with one it is the
-/// canonical `Persist → MemoizeStructural → Batched → Instrumented`
-/// store-backed stack, and the plan/outcome snapshots are persisted
-/// (best-effort write-behind: an unwritable store degrades persistence,
-/// never the search result).
+/// When `source` *is* the profiler this is vanilla Alpa (full or, via
+/// `opts.imbalance_tolerance`, partial profiling); when it is a fitted
+/// [`crate::PredTop`] this is the paper's system.
+///
+/// This is the one in-process search entry point, and one of the two
+/// places a search stack is assembled (the other is
+/// [`crate::ServeEngine::new`]). Without a store the stack is `Batched`
+/// only; with one it is the fixed `Persist → MemoizeStructural →
+/// Batched → Instrumented` store-backed stack, and the plan/outcome
+/// snapshots are persisted under [`search_snapshot_key`] (best-effort
+/// write-behind: an unwritable store degrades persistence, never the
+/// search result).
 ///
 /// # Panics
 /// Panics if no legal covering partition exists — in particular when
@@ -266,15 +264,15 @@ pub fn run_search<S: LatencyService>(
                 req.opts,
                 req.legality,
             )?;
-            let key = search_snapshot_key(
+            persist_search_snapshots(
+                store,
                 namespace,
                 req.model,
                 req.cluster,
                 req.opts,
                 req.legality.is_some(),
+                &out,
             );
-            let _ = store.put(ObjectKind::Outcome, &key, &artifacts::encode_outcome(&out));
-            let _ = store.put(ObjectKind::Plan, &key, &artifacts::encode_plan(&out.plan));
             Ok(out)
         }
         None => {
@@ -289,124 +287,6 @@ pub fn run_search<S: LatencyService>(
             )
         }
     }
-}
-
-/// Run the inter-stage optimizer with `provider` as the latency source,
-/// then re-evaluate the winning plan with the ground-truth `profiler`.
-///
-/// When `provider` *is* the profiler this is vanilla Alpa (full or,
-/// via `opts.imbalance_tolerance`, partial profiling); when it is a
-/// fitted [`crate::PredTop`] this is the paper's system. Candidate
-/// evaluation fans out over the worker pool `predtop-runtime` sizes
-/// from `PREDTOP_THREADS`.
-///
-/// Deprecated shim: prefer building a [`SearchRequest`] and calling
-/// [`run_search`]; this wrapper only delegates.
-pub fn search_plan<P: StageLatencyProvider>(
-    model: ModelSpec,
-    cluster: MeshShape,
-    provider: &P,
-    profiler: &SimProfiler,
-    opts: InterStageOptions,
-) -> SearchOutcome {
-    search_plan_with_threads(
-        model,
-        cluster,
-        provider,
-        profiler,
-        opts,
-        configured_threads(),
-    )
-}
-
-/// [`search_plan`] with an explicit evaluation-pool size. The outcome is
-/// bit-identical for every `threads ≥ 1`.
-///
-/// Deprecated shim: prefer [`SearchRequest::threads`] + [`run_search`];
-/// this wrapper only delegates.
-pub fn search_plan_with_threads<P: StageLatencyProvider>(
-    model: ModelSpec,
-    cluster: MeshShape,
-    provider: &P,
-    profiler: &SimProfiler,
-    opts: InterStageOptions,
-    threads: usize,
-) -> SearchOutcome {
-    run_search(
-        &SearchRequest::new(model, cluster, opts).threads(threads),
-        ProviderService::new(provider, "provider"),
-        profiler,
-    )
-    .expect("lifted providers are infallible")
-}
-
-/// [`search_plan`] with the `predtop-analyze` static-legality filter in
-/// front of the latency provider: every enumerated candidate is checked
-/// against the sharding-divisibility rules (`P13xx`) and the per-device
-/// memory lower bound (`P1401`, sized for the profiler's platform GPU
-/// with 10% headroom), and statically illegal candidates are rejected
-/// *before* any latency evaluation — the provider never sees them.
-/// [`SearchOutcome::num_rejected`] reports how many were dropped.
-///
-/// # Panics
-/// Panics if no legal covering partition exists — in particular when
-/// `opts.microbatches` does not divide `model.batch` (`P1301` rejects
-/// every candidate).
-pub fn search_plan_checked<P: StageLatencyProvider>(
-    model: ModelSpec,
-    cluster: MeshShape,
-    provider: &P,
-    profiler: &SimProfiler,
-    opts: InterStageOptions,
-) -> SearchOutcome {
-    search_plan_checked_with_threads(
-        model,
-        cluster,
-        provider,
-        profiler,
-        opts,
-        configured_threads(),
-    )
-}
-
-/// [`search_plan_checked`] with an explicit evaluation-pool size. The
-/// outcome is bit-identical for every `threads ≥ 1`.
-///
-/// Deprecated shim: prefer [`SearchRequest::legality`] + [`run_search`];
-/// this wrapper only delegates (it builds the canonical
-/// [`search_legality`] filter itself).
-pub fn search_plan_checked_with_threads<P: StageLatencyProvider>(
-    model: ModelSpec,
-    cluster: MeshShape,
-    provider: &P,
-    profiler: &SimProfiler,
-    opts: InterStageOptions,
-    threads: usize,
-) -> SearchOutcome {
-    let legality = search_legality(model, profiler, opts);
-    run_search(
-        &SearchRequest::new(model, cluster, opts)
-            .threads(threads)
-            .legality(&legality),
-        ProviderService::new(provider, "provider"),
-        profiler,
-    )
-    .expect("lifted providers are infallible")
-}
-
-/// Configuration of a store-backed search: where the disk tier lives,
-/// the namespace its keys are scoped to, and the evaluation-pool size.
-pub struct StoredSearch<'a> {
-    /// The open object store serving (and receiving) latency replies,
-    /// plan snapshots, and outcome snapshots.
-    pub store: Arc<Store>,
-    /// Key namespace, conventionally `"<source>:<platform>:<seed>"` —
-    /// replies from different simulators/seeds must never collide.
-    pub namespace: String,
-    /// Evaluation worker threads for the `Batched` layer.
-    pub threads: usize,
-    /// Optional static-legality filter (the `--checked` path).
-    pub legality: Option<&'a StaticLegality>,
 }
 
 /// Store key for the outcome/plan snapshots one search writes: a pure
@@ -432,33 +312,23 @@ pub fn search_snapshot_key(
     w.into_bytes()
 }
 
-/// [`search_plan_service`] with the canonical store-backed stack wrapped
-/// around `source`: `Persist → MemoizeStructural → Batched →
-/// Instrumented`, so per-query replies are served from (and written
-/// behind into) `cfg.store`, and the finished search's plan and outcome
-/// snapshots are persisted under [`search_snapshot_key`].
-///
-/// Determinism contract: a warm re-run serves replies from disk but
-/// must produce a bit-identical [`SearchOutcome`] (plan, latency bits,
-/// query counts) — the snapshots written by the cold run double as the
-/// check. Snapshot writes are best-effort write-behind: an unwritable
-/// store degrades persistence, never the search result.
-///
-/// Deprecated shim: prefer [`SearchRequest::stored`] + [`run_search`];
-/// this wrapper only delegates.
-pub fn search_plan_stored<S: LatencyService>(
+/// Write-behind the outcome and plan snapshots of one finished search
+/// under [`search_snapshot_key`]. Best-effort: an unwritable store
+/// degrades persistence, never the search result. A warm re-run of the
+/// identical search must reproduce the snapshot bit-for-bit, so the
+/// snapshots double as the determinism check.
+pub(crate) fn persist_search_snapshots(
+    store: &Store,
+    namespace: &str,
     model: ModelSpec,
     cluster: MeshShape,
-    source: S,
-    profiler: &SimProfiler,
     opts: InterStageOptions,
-    cfg: &StoredSearch<'_>,
-) -> Result<SearchOutcome, ServiceError> {
-    let mut req = SearchRequest::new(model, cluster, opts)
-        .threads(cfg.threads)
-        .stored(cfg.store.clone(), cfg.namespace.clone());
-    req.legality = cfg.legality;
-    run_search(&req, source, profiler)
+    checked: bool,
+    out: &SearchOutcome,
+) {
+    let key = search_snapshot_key(namespace, model, cluster, opts, checked);
+    let _ = store.put(ObjectKind::Outcome, &key, &artifacts::encode_outcome(out));
+    let _ = store.put(ObjectKind::Plan, &key, &artifacts::encode_plan(&out.plan));
 }
 
 /// The static-legality filter the checked searches install: the
@@ -483,7 +353,8 @@ mod tests {
     use predtop_cluster::Platform;
     use predtop_gnn::train::TrainConfig;
     use predtop_gnn::ModelKind;
-    use predtop_service::{provider_stack, ServiceBuilder};
+    use predtop_parallel::StageLatencyProvider;
+    use predtop_service::ProviderService;
 
     fn tiny_model() -> ModelSpec {
         let mut s = ModelSpec::gpt3_1p3b(2);
@@ -495,11 +366,24 @@ mod tests {
         s
     }
 
+    /// The plain profiler-driven search: `source` evaluates candidates
+    /// and the profiler re-evaluates the winner.
+    fn search<S: LatencyService>(
+        model: ModelSpec,
+        cluster: MeshShape,
+        source: S,
+        profiler: &SimProfiler,
+        opts: InterStageOptions,
+    ) -> SearchOutcome {
+        run_search(&SearchRequest::new(model, cluster, opts), source, profiler)
+            .expect("in-tree sources serve every scenario")
+    }
+
     #[test]
     fn profiler_driven_search_estimate_equals_truth() {
         let profiler = SimProfiler::new(Platform::platform1(), 7);
         let cluster = MeshShape::new(1, 2);
-        let out = search_plan(
+        let out = search(
             tiny_model(),
             cluster,
             &profiler,
@@ -523,7 +407,7 @@ mod tests {
         };
 
         let profiler = SimProfiler::new(Platform::platform1(), 7);
-        let plain = search_plan(tiny_model(), cluster, &profiler, &profiler, opts);
+        let plain = search(tiny_model(), cluster, &profiler, &profiler, opts);
         let plain_underlying = profiler.queries_issued();
         assert!(plain.cache.is_none());
 
@@ -562,7 +446,7 @@ mod tests {
             imbalance_tolerance: None,
         };
         let profiler = SimProfiler::new(Platform::platform1(), 7);
-        let plain = search_plan(tiny_model(), cluster, &profiler, &profiler, opts);
+        let plain = search(tiny_model(), cluster, &profiler, &profiler, opts);
         let plain_underlying = profiler.queries_issued();
 
         let profiler2 = SimProfiler::new(Platform::platform1(), 7);
@@ -608,14 +492,19 @@ mod tests {
     }
 
     #[test]
-    fn service_stack_search_matches_legacy_entry_point() {
+    fn service_stack_search_matches_run_search() {
         let cluster = MeshShape::new(1, 2);
         let opts = InterStageOptions {
             microbatches: 4,
             imbalance_tolerance: None,
         };
         let profiler = SimProfiler::new(Platform::platform1(), 7);
-        let legacy = search_plan_with_threads(tiny_model(), cluster, &profiler, &profiler, opts, 2);
+        let legacy = run_search(
+            &SearchRequest::new(tiny_model(), cluster, opts).threads(2),
+            &profiler,
+            &profiler,
+        )
+        .expect("simulator stack is infallible");
 
         let profiler2 = SimProfiler::new(Platform::platform1(), 7);
         let stack = ServiceBuilder::new(&profiler2)
@@ -685,7 +574,13 @@ mod tests {
         let plain_provider = RecordingProvider {
             seen: Mutex::new(Vec::new()),
         };
-        let plain = search_plan(model, cluster, &plain_provider, &profiler, opts);
+        let plain = search(
+            model,
+            cluster,
+            ProviderService::new(&plain_provider, "provider"),
+            &profiler,
+            opts,
+        );
         assert_eq!(plain.num_rejected, 0);
         let plain_seen = plain_provider.seen.into_inner();
         assert!(
@@ -696,7 +591,13 @@ mod tests {
         let checked_provider = RecordingProvider {
             seen: Mutex::new(Vec::new()),
         };
-        let checked = search_plan_checked(model, cluster, &checked_provider, &profiler, opts);
+        let legality = search_legality(model, &profiler, opts);
+        let checked = run_search(
+            &SearchRequest::new(model, cluster, opts).legality(&legality),
+            ProviderService::new(&checked_provider, "provider"),
+            &profiler,
+        )
+        .expect("lifted providers are infallible");
         let checked_seen = checked_provider.seen.into_inner();
 
         // the provider never saw a statically illegal candidate...
@@ -733,7 +634,7 @@ mod tests {
             imbalance_tolerance: None,
         };
         let profiler = SimProfiler::new(Platform::platform1(), 7);
-        let plain = search_plan(model, cluster, &profiler, &profiler, opts);
+        let plain = search(model, cluster, &profiler, &profiler, opts);
         assert_eq!(plain.num_rejected_memory, 0);
 
         // liveness-bound per-device requirement of a candidate
@@ -770,9 +671,14 @@ mod tests {
             ..GpuSpec::a40()
         };
         let legality = StaticLegality::new(model, opts.microbatches).with_memory_check(gpu, 0.1);
-        let stack = provider_stack(&profiler, "provider", 2);
-        let checked = search_plan_service(model, cluster, &stack, &profiler, opts, Some(&legality))
-            .expect("simulator stack is infallible");
+        let checked = run_search(
+            &SearchRequest::new(model, cluster, opts)
+                .threads(2)
+                .legality(&legality),
+            &profiler,
+            &profiler,
+        )
+        .expect("simulator stack is infallible");
 
         // the memory rule did real pruning...
         assert!(checked.num_rejected_memory > 0, "no memory rejections");
@@ -806,22 +712,18 @@ mod tests {
             imbalance_tolerance: None,
         };
         let store = store_dir("cold-warm");
-        let cfg = StoredSearch {
-            store: store.clone(),
-            namespace: "sim:platform1:7".to_string(),
-            threads: 2,
-            legality: None,
-        };
+        let namespace = "sim:platform1:7".to_string();
+        let req = SearchRequest::new(tiny_model(), cluster, opts).threads(2);
+        let stored = req.clone().stored(store.clone(), namespace.clone());
 
         // the reference result through the plain engine
         let profiler = SimProfiler::new(Platform::platform1(), 7);
-        let plain = search_plan_with_threads(tiny_model(), cluster, &profiler, &profiler, opts, 2);
+        let plain = run_search(&req, &profiler, &profiler).expect("simulator stack is infallible");
 
         // cold run: every structural class misses the disk and is
         // written behind
         let p_cold = SimProfiler::new(Platform::platform1(), 7);
-        let cold = search_plan_stored(tiny_model(), cluster, &p_cold, &p_cold, opts, &cfg)
-            .expect("simulator stack is infallible");
+        let cold = run_search(&stored, &p_cold, &p_cold).expect("simulator stack is infallible");
         assert_eq!(cold.plan, plain.plan);
         assert_eq!(
             cold.estimated_latency.to_bits(),
@@ -838,8 +740,7 @@ mod tests {
         // serves every structural class and the inner simulator is
         // never consulted
         let p_warm = SimProfiler::new(Platform::platform1(), 7);
-        let warm = search_plan_stored(tiny_model(), cluster, &p_warm, &p_warm, opts, &cfg)
-            .expect("simulator stack is infallible");
+        let warm = run_search(&stored, &p_warm, &p_warm).expect("simulator stack is infallible");
         assert_eq!(warm.plan, cold.plan);
         assert_eq!(
             warm.estimated_latency.to_bits(),
@@ -866,7 +767,7 @@ mod tests {
         );
 
         // the persisted snapshots match both runs bit-for-bit
-        let key = search_snapshot_key(&cfg.namespace, tiny_model(), cluster, opts, false);
+        let key = search_snapshot_key(&namespace, tiny_model(), cluster, opts, false);
         let snap_bytes = store
             .get(ObjectKind::Outcome, &key)
             .unwrap()
@@ -892,15 +793,11 @@ mod tests {
             imbalance_tolerance: None,
         };
         let store = store_dir("truncated");
-        let cfg = StoredSearch {
-            store: store.clone(),
-            namespace: "sim:platform1:7".to_string(),
-            threads: 2,
-            legality: None,
-        };
+        let stored = SearchRequest::new(tiny_model(), cluster, opts)
+            .threads(2)
+            .stored(store.clone(), "sim:platform1:7".to_string());
         let p_cold = SimProfiler::new(Platform::platform1(), 7);
-        let cold = search_plan_stored(tiny_model(), cluster, &p_cold, &p_cold, opts, &cfg)
-            .expect("simulator stack is infallible");
+        let cold = run_search(&stored, &p_cold, &p_cold).expect("simulator stack is infallible");
 
         // truncate every loose object mid-file: each warm read now
         // surfaces a ShortRead, the layer recomputes, and the damaged
@@ -914,7 +811,7 @@ mod tests {
         }
 
         let p_warm = SimProfiler::new(Platform::platform1(), 7);
-        let warm = search_plan_stored(tiny_model(), cluster, &p_warm, &p_warm, opts, &cfg)
+        let warm = run_search(&stored, &p_warm, &p_warm)
             .expect("corruption must degrade to recompute, not fail");
         assert_eq!(warm.plan, cold.plan);
         assert_eq!(
@@ -944,7 +841,7 @@ mod tests {
             microbatches: 4,
             imbalance_tolerance: None,
         };
-        let full = search_plan(model, cluster, &profiler, &profiler, opts);
+        let full = search(model, cluster, &profiler, &profiler, opts);
 
         // PredTOP-driven search
         let mut arch = ArchConfig::scaled(ModelKind::DagTransformer);
@@ -959,7 +856,7 @@ mod tests {
             seed: 0,
         };
         let pt = PredTop::fit(model, cluster, &profiler, &cfg);
-        let predicted = search_plan(model, cluster, &pt, &profiler, opts);
+        let predicted = search(model, cluster, &pt, &profiler, opts);
 
         predicted.plan.validate(&model).unwrap();
         // the plan chosen from predictions can degrade but not absurdly

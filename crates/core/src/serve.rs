@@ -23,7 +23,6 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use predtop_analyze::{analyze_stack, has_errors, render_text};
 use predtop_cluster::Platform;
 use predtop_gnn::{GraphSample, TrainedPredictor};
 use predtop_parallel::{InterStageOptions, MeshShape};
@@ -39,12 +38,11 @@ use predtop_service::{
 };
 use predtop_sim::SimProfiler;
 use predtop_store::hash::digest_bytes;
-use predtop_store::{ObjectKind, Store};
+use predtop_store::Store;
 
 use crate::analytic::AnalyticBaseline;
-use crate::artifacts;
 use crate::persist;
-use crate::search::{search_legality, search_plan_service, search_snapshot_key};
+use crate::search::{persist_search_snapshots, search_legality, search_plan_service};
 
 /// Everything that shapes one serving engine: the platform and seed the
 /// simulator runs, the stack knobs the `search` command exposes as
@@ -67,16 +65,15 @@ pub struct EngineConfig {
     /// Optional disk tier: latency replies, plan snapshots, and outcome
     /// snapshots persist into this content-addressed store.
     pub store: Option<Arc<Store>>,
-    /// Memoize on raw query identity instead of structural equivalence
-    /// classes (the CLI's `--raw-cache`).
-    pub raw_cache: bool,
-    /// Injected transient-fault rate in `[0, 1]` (0 = pass-through).
+    /// Injected transient-fault rate in `[0, 1]` (0 = pass-through);
+    /// [`ServeEngine::new`] rejects anything else.
     pub fault_rate: f64,
     /// Fault-injection hash seed.
     pub fault_seed: u64,
     /// Retry budget for transient failures.
     pub retries: usize,
-    /// Optional per-query latency budget in seconds.
+    /// Optional per-query latency budget in seconds; [`ServeEngine::new`]
+    /// rejects a negative or non-finite one.
     pub deadline: Option<f64>,
     /// Admission-control breaker configuration.
     pub breaker: BreakerConfig,
@@ -87,8 +84,8 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// A default engine for `platform`: `configured_threads()` workers,
-    /// no disk tier, structural memoization, every fault-tolerance
-    /// layer a pass-through, the default breaker, no saved predictor.
+    /// no disk tier, every fault-tolerance layer a pass-through, the
+    /// default breaker, no saved predictor.
     pub fn new(platform: Platform, platform_id: impl Into<String>, seed: u64) -> EngineConfig {
         EngineConfig {
             platform,
@@ -96,7 +93,6 @@ impl EngineConfig {
             seed,
             threads: configured_threads(),
             store: None,
-            raw_cache: false,
             fault_rate: 0.0,
             fault_seed: 0,
             retries: 0,
@@ -179,13 +175,26 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// Assemble the engine's stacks from `config` and lint their layer
-    /// order (the same `P2xxx` rules `predtop-lint --stack` enforces).
-    /// An assembly the lints reject returns the rendered diagnostics.
+    /// Assemble the engine's stacks from `config`. This is one of the two
+    /// places a search stack is assembled (the other is
+    /// [`crate::run_search`]), and the layer order is fixed here rather
+    /// than configurable. A config with a fault rate outside `[0, 1]` or
+    /// a negative or non-finite deadline is refused with a message.
     pub fn new(config: EngineConfig) -> Result<ServeEngine, String> {
+        if !(0.0..=1.0).contains(&config.fault_rate) {
+            return Err(format!(
+                "the injected fault rate must be a probability in [0, 1], got {}",
+                config.fault_rate
+            ));
+        }
+        if let Some(budget) = config.deadline.filter(|b| !(b.is_finite() && *b >= 0.0)) {
+            return Err(format!(
+                "the per-query deadline must be a finite, non-negative number of seconds, got {budget}"
+            ));
+        }
         let profiler = Arc::new(SimProfiler::new(config.platform.clone(), config.seed));
 
-        // the canonical chaos-capable stack (DESIGN.md §10): faults
+        // the fixed chaos-capable stack (DESIGN.md §10): faults
         // innermost, the deadline polices each attempt, the retry loop
         // absorbs transient failures, then persistence, memoization,
         // fan-out, and instrumentation see the (now reliable) service
@@ -202,20 +211,12 @@ impl ServeEngine {
                 .boxed(),
             None => builder.boxed(),
         };
-        let builder = if config.raw_cache {
-            builder.memoize()
-        } else {
-            builder.memoize_structural()
-        };
         let stack = builder
+            .memoize_structural()
             .batched(config.threads)
             .instrumented()
             .boxed()
             .finish();
-        let diags = analyze_stack(stack.spec());
-        if has_errors(&diags) {
-            return Err(render_text(&diags));
-        }
 
         // predictor → analytic fallback chain: a missing or undecodable
         // model file degrades the answer instead of failing the request
@@ -241,10 +242,6 @@ impl ServeEngine {
             None => predict_builder.boxed(),
         };
         let predict_stack = predict_builder.memoize().boxed().finish();
-        let diags = analyze_stack(predict_stack.spec());
-        if has_errors(&diags) {
-            return Err(render_text(&diags));
-        }
 
         let admission = AdmissionControl::new(config.breaker);
         Ok(ServeEngine {
@@ -335,19 +332,16 @@ impl ServeEngine {
         match result {
             Ok(out) => {
                 self.served.fetch_add(1, Ordering::SeqCst);
-                // write-behind the outcome/plan snapshots, best-effort:
-                // an unwritable store degrades persistence, never the
-                // reply
                 if let Some(store) = &self.config.store {
-                    let key = search_snapshot_key(
+                    persist_search_snapshots(
+                        store,
                         &self.config.sim_namespace(),
                         spec.model,
                         cluster,
                         opts,
                         spec.checked,
+                        &out,
                     );
-                    let _ = store.put(ObjectKind::Outcome, &key, &artifacts::encode_outcome(&out));
-                    let _ = store.put(ObjectKind::Plan, &key, &artifacts::encode_plan(&out.plan));
                 }
                 Response::Search(SearchResult {
                     plan: out.plan,
@@ -523,7 +517,7 @@ mod tests {
     }
 
     #[test]
-    fn search_reply_is_bit_identical_to_the_legacy_entry_point() {
+    fn search_reply_is_bit_identical_to_run_search() {
         let engine = tiny_engine();
         let spec = api::SearchSpec {
             model: tiny_model(),
@@ -536,16 +530,16 @@ mod tests {
             Platform::platform1().max_nodes,
             Platform::platform1().gpus_per_node,
         );
-        let reference = crate::search::search_plan(
-            tiny_model(),
-            cluster,
+        let opts = InterStageOptions {
+            microbatches: 4,
+            imbalance_tolerance: None,
+        };
+        let reference = crate::search::run_search(
+            &crate::search::SearchRequest::new(tiny_model(), cluster, opts),
             &profiler,
             &profiler,
-            InterStageOptions {
-                microbatches: 4,
-                imbalance_tolerance: None,
-            },
-        );
+        )
+        .expect("the simulator serves every scenario");
         match engine.handle(&Request::Search(spec)) {
             Response::Search(result) => {
                 assert_eq!(result.plan, reference.plan);
@@ -634,6 +628,31 @@ mod tests {
             stats.ledgers.iter().any(|l| l.name == "breaker"),
             "admission ledger rides along"
         );
+    }
+
+    #[test]
+    fn out_of_range_configs_are_refused_with_a_message() {
+        for (rate, deadline) in [
+            (1.5, None),
+            (f64::NAN, None),
+            (0.0, Some(-0.005)),
+            (0.0, Some(f64::NAN)),
+            (0.0, Some(f64::INFINITY)),
+        ] {
+            let mut config = EngineConfig::new(Platform::platform1(), "1", 7);
+            config.fault_rate = rate;
+            config.deadline = deadline;
+            let err = ServeEngine::new(config)
+                .err()
+                .expect("an out-of-range config must be refused");
+            assert!(
+                err.contains("probability") || err.contains("deadline"),
+                "{err}"
+            );
+        }
+        let mut zero = EngineConfig::new(Platform::platform1(), "1", 7);
+        zero.deadline = Some(0.0);
+        assert!(ServeEngine::new(zero).is_ok(), "a zero budget is legal");
     }
 
     #[test]

@@ -138,28 +138,6 @@ pub struct InterStageResult {
     /// How many (stage, mesh, config) latency queries were issued —
     /// the profiling workload whose cost Fig. 10a measures.
     pub num_queries: usize,
-    /// How many enumerated candidates a static-legality filter rejected
-    /// *before* latency evaluation (0 for the unfiltered entry points).
-    pub num_rejected: usize,
-    /// How many of those rejections the filter attributed to the
-    /// memory-capacity rule (the liveness-tight `P1401` bound) rather
-    /// than pure sharding arithmetic. Only the classified entry point
-    /// ([`optimize_pipeline_classified_with_threads`]) distinguishes;
-    /// the boolean-filter paths report 0.
-    pub num_rejected_memory: usize,
-}
-
-/// How a classifying candidate filter judged one (stage, mesh, config)
-/// triple — a three-way refinement of the boolean filter that lets the
-/// search report *why* candidates were dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CandidateVerdict {
-    /// Statically legal: evaluate its latency.
-    Accept,
-    /// Rejected by a non-memory rule (sharding divisibility etc.).
-    Reject,
-    /// Rejected because the per-device memory lower bound cannot fit.
-    RejectMemory,
 }
 
 /// Run the inter-stage DP for `model` on `cluster`, evaluating
@@ -191,99 +169,12 @@ pub fn optimize_pipeline_with_threads<P: StageLatencyProvider>(
     opts: InterStageOptions,
     threads: usize,
 ) -> InterStageResult {
-    optimize_pipeline_filtered_with_threads(model, cluster, provider, opts, threads, &|_, _, _| {
-        true
-    })
-}
-
-/// [`optimize_pipeline_with_threads`] with a static candidate filter:
-/// every enumerated candidate is offered to `filter` *before* phase 2,
-/// and rejected candidates are never latency-evaluated — the provider
-/// does not see them, `num_queries` does not count them, and
-/// `num_rejected` reports how many were dropped.
-///
-/// This is the seam the `predtop-analyze` plan-legality passes plug into
-/// (`predtop-core`'s checked search): statically illegal candidates
-/// (sharding-divisibility or guaranteed-OOM violations) are *rejected*,
-/// not costed. The filter must be pure — it runs once per candidate in
-/// the deterministic enumeration order, so the search stays bit-identical
-/// at any thread count.
-///
-/// # Panics
-/// Panics if no covering partition survives the filter (the unfiltered
-/// search always has the single full-mesh stage as a fallback; a filter
-/// can remove it).
-pub fn optimize_pipeline_filtered_with_threads<P, F>(
-    model: ModelSpec,
-    cluster: MeshShape,
-    provider: &P,
-    opts: InterStageOptions,
-    threads: usize,
-    filter: &F,
-) -> InterStageResult
-where
-    P: StageLatencyProvider,
-    F: Fn(&StageSpec, MeshShape, ParallelConfig) -> bool + Sync,
-{
-    optimize_pipeline_classified_with_threads(
-        model,
-        cluster,
-        provider,
-        opts,
-        threads,
-        &|stage, mesh, config| {
-            if filter(stage, mesh, config) {
-                CandidateVerdict::Accept
-            } else {
-                CandidateVerdict::Reject
-            }
-        },
-    )
-}
-
-/// [`optimize_pipeline_filtered_with_threads`] with a *classifying*
-/// filter: the filter says not just whether a candidate is dropped but
-/// why ([`CandidateVerdict`]), and memory-rule rejections are reported
-/// separately in [`InterStageResult::num_rejected_memory`]. Same
-/// determinism contract as the boolean entry point.
-///
-/// # Panics
-/// Panics if no covering partition survives the filter.
-pub fn optimize_pipeline_classified_with_threads<P, F>(
-    model: ModelSpec,
-    cluster: MeshShape,
-    provider: &P,
-    opts: InterStageOptions,
-    threads: usize,
-    classify: &F,
-) -> InterStageResult
-where
-    P: StageLatencyProvider,
-    F: Fn(&StageSpec, MeshShape, ParallelConfig) -> CandidateVerdict + Sync,
-{
     let layers = model.num_layers;
     let total_dev = cluster.num_devices();
 
-    // Phase 1: enumerate the work-list (no provider queries yet), then
-    // drop statically illegal candidates before any latency evaluation.
-    let full = enumerate_candidates(model, cluster, opts);
-    let enumerated = full.len();
-    let mut num_rejected_memory = 0usize;
-    let worklist: Vec<_> = full
-        .into_iter()
-        .filter(
-            |(stage, mesh, config)| match classify(stage, *mesh, *config) {
-                CandidateVerdict::Accept => true,
-                CandidateVerdict::Reject => false,
-                CandidateVerdict::RejectMemory => {
-                    num_rejected_memory += 1;
-                    false
-                }
-            },
-        )
-        .collect();
+    // Phase 1: enumerate the work-list (no provider queries yet).
+    let worklist = enumerate_candidates(model, cluster, opts);
     let num_queries = worklist.len();
-    let num_rejected = enumerated - num_queries;
 
     // Phase 2: fan the provider queries out across the worker pool in
     // coarse chunks (`queries / (threads × oversubscription)` each) so
@@ -308,13 +199,11 @@ where
 
     // Phase 3: the shared DP over the candidate table.
     let (latency, plan) = solve_pipeline(&cands, layers, total_dev, opts.microbatches)
-        .expect("no covering partition survived the filter (unfiltered searches always have the single full-mesh stage)");
+        .expect("a single full-mesh stage always covers the model");
     InterStageResult {
         plan,
         latency,
         num_queries,
-        num_rejected,
-        num_rejected_memory,
     }
 }
 
@@ -724,114 +613,6 @@ mod tests {
                 optimize_pipeline_with_threads(m, MeshShape::new(2, 2), &SynthLat, opts, threads);
             assert_eq!(r.latency.to_bits(), base.latency.to_bits());
             assert_eq!(r.num_queries, base.num_queries);
-            assert_eq!(r.plan, base.plan);
-        }
-    }
-
-    // ---- static candidate filter ----------------------------------
-
-    #[test]
-    fn filtered_search_never_evaluates_rejected_candidates() {
-        let m = tiny_model();
-        let cluster = MeshShape::new(2, 2);
-        let opts = InterStageOptions {
-            microbatches: 4,
-            imbalance_tolerance: None,
-        };
-        let full = optimize_pipeline_with_threads(m, cluster, &SynthLat, opts, 2);
-        assert_eq!(full.num_rejected, 0);
-
-        // reject every pure-model-parallel candidate and count the offers
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let offered = AtomicUsize::new(0);
-        let filter = |_stage: &StageSpec, _mesh: MeshShape, config: ParallelConfig| {
-            offered.fetch_add(1, Ordering::Relaxed);
-            config.mp == 1
-        };
-        let filtered =
-            optimize_pipeline_filtered_with_threads(m, cluster, &SynthLat, opts, 2, &filter);
-
-        // every enumerated candidate was offered exactly once...
-        assert_eq!(offered.load(Ordering::Relaxed), full.num_queries);
-        // ...the queries + rejections account for the full enumeration...
-        assert!(filtered.num_rejected > 0);
-        assert_eq!(
-            filtered.num_queries + filtered.num_rejected,
-            full.num_queries
-        );
-        // ...and the chosen plan uses surviving candidates only
-        filtered.plan.validate(&m).unwrap();
-        for ps in &filtered.plan.stages {
-            assert_eq!(ps.config.mp, 1, "filtered-out candidate chosen: {ps:?}");
-        }
-    }
-
-    #[test]
-    fn classified_filter_splits_rejections_by_cause() {
-        let m = tiny_model();
-        let cluster = MeshShape::new(2, 2);
-        let opts = InterStageOptions {
-            microbatches: 4,
-            imbalance_tolerance: None,
-        };
-        // call mp-sharding a plain rejection and long single-device
-        // stages a memory rejection
-        let classify = |stage: &StageSpec, mesh: MeshShape, config: ParallelConfig| {
-            if config.mp > 1 {
-                CandidateVerdict::Reject
-            } else if mesh.num_devices() == 1 && stage.num_layers() > 4 {
-                CandidateVerdict::RejectMemory
-            } else {
-                CandidateVerdict::Accept
-            }
-        };
-        let r =
-            optimize_pipeline_classified_with_threads(m, cluster, &SynthLat, opts, 2, &classify);
-        r.plan.validate(&m).unwrap();
-        assert!(r.num_rejected_memory > 0);
-        assert!(r.num_rejected > r.num_rejected_memory);
-        let enumerated = enumerate_candidates(m, cluster, opts).len();
-        assert_eq!(r.num_queries + r.num_rejected, enumerated);
-        // the boolean path reports zero memory rejections by definition
-        let b =
-            optimize_pipeline_filtered_with_threads(m, cluster, &SynthLat, opts, 2, &|s, me, c| {
-                classify(s, me, c) == CandidateVerdict::Accept
-            });
-        assert_eq!(b.num_rejected_memory, 0);
-        assert_eq!(b.num_rejected, r.num_rejected);
-        assert_eq!(b.plan, r.plan);
-    }
-
-    #[test]
-    fn filtered_search_is_deterministic_across_threads() {
-        let m = tiny_model();
-        let opts = InterStageOptions {
-            microbatches: 4,
-            imbalance_tolerance: None,
-        };
-        let filter = |stage: &StageSpec, _mesh: MeshShape, config: ParallelConfig| {
-            config.dp <= 2 && stage.num_layers() <= 6
-        };
-        let base = optimize_pipeline_filtered_with_threads(
-            m,
-            MeshShape::new(2, 2),
-            &SynthLat,
-            opts,
-            1,
-            &filter,
-        );
-        for threads in [2, 8] {
-            let r = optimize_pipeline_filtered_with_threads(
-                m,
-                MeshShape::new(2, 2),
-                &SynthLat,
-                opts,
-                threads,
-                &filter,
-            );
-            assert_eq!(r.latency.to_bits(), base.latency.to_bits());
-            assert_eq!(r.num_queries, base.num_queries);
-            assert_eq!(r.num_rejected, base.num_rejected);
             assert_eq!(r.plan, base.plan);
         }
     }

@@ -49,9 +49,8 @@ pub use cache::CacheStats;
 pub use config::{table3_configs, MeshShape, ParallelConfig};
 pub use intern::{InternStats, StructuralDescriptor, StructuralInterner, StructuralKey};
 pub use interstage::{
-    enumerate_candidates, optimize_pipeline, optimize_pipeline_classified_with_threads,
-    optimize_pipeline_filtered_with_threads, optimize_pipeline_with_threads, solve_pipeline,
-    CandidateVerdict, EvaluatedCandidate, InterStageOptions, InterStageResult,
+    enumerate_candidates, optimize_pipeline, optimize_pipeline_with_threads, solve_pipeline,
+    EvaluatedCandidate, InterStageOptions, InterStageResult,
 };
 pub use intra::{IntraPlan, OpCost};
 pub use plan::{pipeline_latency, PipelinePlan, PlanError, PlanRule, PlanViolation, PlannedStage};
@@ -61,10 +60,8 @@ use predtop_models::StageSpec;
 
 /// Source of per-stage optimal latencies — the gray-box seam.
 ///
-/// Implementations: the ground-truth profiler (simulator), a trained
-/// black-box predictor, or any `predtop-service` stack projected back
-/// down through its `AsProvider` bridge. The
-/// inter-stage optimizer calls this for every (stage, sub-mesh,
+/// Implementations: the ground-truth profiler (simulator) and a trained
+/// black-box predictor. The inter-stage optimizer calls this for every (stage, sub-mesh,
 /// configuration) candidate — from multiple worker threads at once,
 /// hence the `Sync` supertrait: a provider must tolerate concurrent
 /// `stage_latency` calls (all in-tree providers already memoize behind

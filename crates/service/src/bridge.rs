@@ -1,21 +1,14 @@
-//! Bridges between the service stack and the pre-service
-//! [`StageLatencyProvider`] world — the *only* place the two traits are
-//! converted.
+//! The bridge from the pre-service [`StageLatencyProvider`] world into
+//! the service stack — the *only* place the two traits are converted.
 //!
-//! [`ProviderService`] lifts any provider *into* the stack;
-//! [`AsProvider`] projects a stack back *down* to a provider for APIs
-//! (like `PipelinePlan::latency`) that still speak the older trait; and
-//! [`provider_stack`] assembles the canonical batched stack the
-//! provider-typed search entry points run through. Callers must not
-//! hand-roll their own lift code: one conversion point keeps the
-//! attribution labels and error mapping consistent across the
-//! workspace.
+//! [`ProviderService`] lifts any provider *into* the stack, and the
+//! ground-truth [`SimProfiler`] is a service in its own right. Callers
+//! must not hand-roll their own lift code: one conversion point keeps
+//! the attribution labels consistent across the workspace.
 
-use predtop_models::StageSpec;
-use predtop_parallel::{MeshShape, ParallelConfig, PipelinePlan, StageLatencyProvider};
+use predtop_parallel::{PipelinePlan, StageLatencyProvider};
+use predtop_sim::SimProfiler;
 
-use crate::batched::Batched;
-use crate::builder::{ServiceBuilder, ServiceStack};
 use crate::{LatencyQuery, LatencyReply, LatencyService, ServiceError};
 
 /// Adapter lifting a [`StageLatencyProvider`] into a named
@@ -53,21 +46,18 @@ impl<P: StageLatencyProvider> LatencyService for ProviderService<P> {
     }
 }
 
-/// Adapter projecting a [`LatencyService`] back down to a
-/// [`StageLatencyProvider`], for pre-service APIs that still take the
-/// provider trait.
-///
-/// The provider signature has no error channel, so a service error maps
-/// to `f64::INFINITY` — the optimizer and Eqn. 4 both treat an infinite
-/// stage as "never pick this", which is the correct degradation.
-pub struct AsProvider<S>(pub S);
+impl LatencyService for SimProfiler {
+    fn name(&self) -> &'static str {
+        "simulator"
+    }
 
-impl<S: LatencyService> StageLatencyProvider for AsProvider<S> {
-    fn stage_latency(&self, stage: &StageSpec, mesh: MeshShape, config: ParallelConfig) -> f64 {
-        match self.0.query(&LatencyQuery::new(*stage, mesh, config)) {
-            Ok(r) => r.seconds,
-            Err(_) => f64::INFINITY,
-        }
+    fn query(&self, q: &LatencyQuery) -> Result<LatencyReply, ServiceError> {
+        // the simulator can cost any (stage, mesh, config) triple, so it
+        // is the infallible base of every fallback chain
+        Ok(LatencyReply {
+            seconds: self.stage_latency(&q.stage, q.mesh, q.config),
+            source: self.name(),
+        })
     }
 }
 
@@ -102,26 +92,6 @@ impl LatencyService for Unavailable {
     }
 }
 
-/// The canonical stack for running a [`StageLatencyProvider`] through
-/// service-typed entry points: the provider lifted into a service
-/// attributed to `name`, fanned out over `threads` deterministic
-/// workers.
-///
-/// This is the single sanctioned provider→service lift for callers that
-/// just want "my provider, as a stack" (`predtop-core`'s provider-typed
-/// searches, bench bins). Anything fancier — memoization, fault
-/// injection, fallback chains — starts from
-/// [`ServiceBuilder::from_provider`] instead.
-pub fn provider_stack<P: StageLatencyProvider>(
-    provider: P,
-    name: &'static str,
-    threads: usize,
-) -> ServiceStack<Batched<ProviderService<P>>> {
-    ServiceBuilder::from_provider(provider, name)
-        .batched(threads)
-        .finish()
-}
-
 /// Eqn. 4 pipeline latency of `plan`, with every stage latency resolved
 /// through `svc` as one batch (so a [`crate::Batched`] layer fans the
 /// stages out and a [`crate::Memoize`] layer is populated/consulted).
@@ -146,6 +116,8 @@ pub fn plan_latency<S: LatencyService>(plan: &PipelinePlan, svc: &S) -> Result<f
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use predtop_models::StageSpec;
+    use predtop_parallel::{MeshShape, ParallelConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -203,35 +175,14 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn provider_service_round_trips_through_as_provider() {
+    fn provider_service_serves_the_provider_value_under_its_label() {
         let q = sample_query();
-        let svc = ProviderService::new(SyntheticProvider, "synthetic");
         let direct = SyntheticProvider.stage_latency(&q.stage, q.mesh, q.config);
-        let reply = svc.query(&q).unwrap();
+        let reply = ProviderService::new(SyntheticProvider, "synthetic")
+            .query(&q)
+            .unwrap();
         assert_eq!(reply.seconds.to_bits(), direct.to_bits());
         assert_eq!(reply.source, "synthetic");
-        let back = AsProvider(svc);
-        assert_eq!(
-            back.stage_latency(&q.stage, q.mesh, q.config).to_bits(),
-            direct.to_bits()
-        );
-    }
-
-    #[test]
-    fn provider_stack_serves_the_provider_values_under_its_label() {
-        let q = sample_query();
-        let direct = SyntheticProvider.stage_latency(&q.stage, q.mesh, q.config);
-        let stack = provider_stack(SyntheticProvider, "synthetic", 2);
-        let r = stack.query(&q).unwrap();
-        assert_eq!(r.seconds.to_bits(), direct.to_bits());
-        assert_eq!(r.source, "synthetic");
-    }
-
-    #[test]
-    fn as_provider_maps_errors_to_infinity() {
-        let q = sample_query();
-        let p = AsProvider(failing_service("down"));
-        assert!(p.stage_latency(&q.stage, q.mesh, q.config).is_infinite());
     }
 
     #[test]

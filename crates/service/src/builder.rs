@@ -18,107 +18,6 @@ use crate::{
 };
 use predtop_parallel::{StageLatencyProvider, StructuralInterner};
 
-/// The kind of one middleware layer, as recorded by [`StackSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LayerTag {
-    /// [`Fallback`] — degrade to a secondary service on error.
-    Fallback,
-    /// [`Memoize`] in per-query mode.
-    Memoize,
-    /// [`Memoize`] in structural-equivalence mode.
-    MemoizeStructural,
-    /// [`crate::Persist`] — disk-backed reply store under the memoize
-    /// tier.
-    Persist,
-    /// [`Batched`] — fan batches across the worker pool.
-    Batched,
-    /// [`FaultInject`] — deterministic chaos injection.
-    FaultInject,
-    /// [`Deadline`] — wall-clock budgets.
-    Deadline,
-    /// [`CircuitBreaker`] — load shedding on persistent failure.
-    CircuitBreaker,
-    /// [`Retry`] — transient-failure re-attempts.
-    Retry,
-    /// [`Instrumented`] — query/batch/error counters.
-    Instrumented,
-}
-
-impl LayerTag {
-    /// The layer's display name (matches the wrapping combinator).
-    pub fn label(self) -> &'static str {
-        match self {
-            LayerTag::Fallback => "Fallback",
-            LayerTag::Memoize => "Memoize",
-            LayerTag::MemoizeStructural => "MemoizeStructural",
-            LayerTag::Persist => "Persist",
-            LayerTag::Batched => "Batched",
-            LayerTag::FaultInject => "FaultInject",
-            LayerTag::Deadline => "Deadline",
-            LayerTag::CircuitBreaker => "CircuitBreaker",
-            LayerTag::Retry => "Retry",
-            LayerTag::Instrumented => "Instrumented",
-        }
-    }
-
-    /// Do two tags denote the same layer family? The two memoize modes
-    /// are one family — installing both is double caching.
-    pub fn same_family(self, other: LayerTag) -> bool {
-        let fam = |t| match t {
-            LayerTag::MemoizeStructural => LayerTag::Memoize,
-            t => t,
-        };
-        fam(self) == fam(other)
-    }
-}
-
-/// An introspection record of a built middleware stack: the installed
-/// layer tags in wrap order, **innermost first** (index 0 sits directly
-/// over the base source). [`ServiceBuilder`] pushes one tag per
-/// combinator call, so the spec is exactly the stack that was actually
-/// composed — this is what `predtop-analyze`'s stack-ordering lints
-/// (`P2xxx`, DESIGN.md §10) check, statically for configs and live for
-/// the stack the CLI search builds.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StackSpec {
-    layers: Vec<LayerTag>,
-}
-
-impl StackSpec {
-    /// An empty spec (a bare base service).
-    pub fn new() -> StackSpec {
-        StackSpec::default()
-    }
-
-    /// A spec from explicit tags, innermost first — for linting a stack
-    /// *description* without building the stack.
-    pub fn from_layers(layers: impl IntoIterator<Item = LayerTag>) -> StackSpec {
-        StackSpec {
-            layers: layers.into_iter().collect(),
-        }
-    }
-
-    /// Record one more (outer) layer.
-    pub fn push(&mut self, tag: LayerTag) {
-        self.layers.push(tag);
-    }
-
-    /// Installed layers, innermost first.
-    pub fn layers(&self) -> &[LayerTag] {
-        &self.layers
-    }
-
-    /// Human-readable wrap order, innermost first:
-    /// `FaultInject → Retry → Batched`.
-    pub fn label(&self) -> String {
-        self.layers
-            .iter()
-            .map(|t| t.label())
-            .collect::<Vec<_>>()
-            .join(" → ")
-    }
-}
-
 /// Shared handles onto the counters of the layers a [`ServiceBuilder`]
 /// installed. Cloneable and independent of the stack's lifetime, so an
 /// outcome struct can carry them out of the search that built the stack.
@@ -175,7 +74,6 @@ pub struct StackHandles {
 pub struct ServiceBuilder<S> {
     svc: S,
     handles: StackHandles,
-    spec: StackSpec,
 }
 
 impl<P: StageLatencyProvider> ServiceBuilder<ProviderService<P>> {
@@ -192,7 +90,6 @@ impl<S: LatencyService> ServiceBuilder<S> {
         ServiceBuilder {
             svc,
             handles: StackHandles::default(),
-            spec: StackSpec::new(),
         }
     }
 
@@ -201,9 +98,7 @@ impl<S: LatencyService> ServiceBuilder<S> {
         let svc = Fallback::new(self.svc, secondary);
         let mut handles = self.handles;
         handles.fallback = Some(svc.handle());
-        let mut spec = self.spec;
-        spec.push(LayerTag::Fallback);
-        ServiceBuilder { svc, handles, spec }
+        ServiceBuilder { svc, handles }
     }
 
     /// Memoize successful replies per query (sharded, with
@@ -212,9 +107,7 @@ impl<S: LatencyService> ServiceBuilder<S> {
         let svc = Memoize::new(self.svc);
         let mut handles = self.handles;
         handles.cache = Some(svc.handle());
-        let mut spec = self.spec;
-        spec.push(LayerTag::Memoize);
-        ServiceBuilder { svc, handles, spec }
+        ServiceBuilder { svc, handles }
     }
 
     /// Memoize successful replies per *structural equivalence class*: a
@@ -231,9 +124,7 @@ impl<S: LatencyService> ServiceBuilder<S> {
         let mut handles = self.handles;
         handles.cache = Some(svc.handle());
         handles.interner = Some(interner);
-        let mut spec = self.spec;
-        spec.push(LayerTag::MemoizeStructural);
-        ServiceBuilder { svc, handles, spec }
+        ServiceBuilder { svc, handles }
     }
 
     /// Back the current stack with a persistent object store: replies
@@ -242,8 +133,7 @@ impl<S: LatencyService> ServiceBuilder<S> {
     /// Goes directly inside [`memoize`](Self::memoize) /
     /// [`memoize_structural`](Self::memoize_structural) — memory
     /// absorbs in-run repeats, disk absorbs across-run repeats — and
-    /// inside [`batched`](Self::batched) so disk misses still fan out
-    /// (lints `P2106`/`P2107`/`P2203`).
+    /// inside [`batched`](Self::batched) so disk misses still fan out.
     pub fn persist(
         self,
         store: Arc<predtop_store::Store>,
@@ -252,20 +142,13 @@ impl<S: LatencyService> ServiceBuilder<S> {
         let svc = Persist::new(self.svc, store, namespace);
         let mut handles = self.handles;
         handles.persist = Some(svc.handle());
-        let mut spec = self.spec;
-        spec.push(LayerTag::Persist);
-        ServiceBuilder { svc, handles, spec }
+        ServiceBuilder { svc, handles }
     }
 
     /// Fan query batches across `threads` deterministic workers with
     /// the default chunking policy.
     pub fn batched(self, threads: usize) -> ServiceBuilder<Batched<S>> {
         self.batched_with_policy(threads, DispatchPolicy::default())
-    }
-
-    /// Fan query batches across the `PREDTOP_THREADS`-configured pool.
-    pub fn batched_auto(self) -> ServiceBuilder<Batched<S>> {
-        self.batched(predtop_runtime::configured_threads())
     }
 
     /// Fan query batches across `threads` deterministic workers with an
@@ -278,9 +161,7 @@ impl<S: LatencyService> ServiceBuilder<S> {
         let svc = Batched::with_policy(self.svc, threads, policy);
         let mut handles = self.handles;
         handles.batch = Some(svc.handle());
-        let mut spec = self.spec;
-        spec.push(LayerTag::Batched);
-        ServiceBuilder { svc, handles, spec }
+        ServiceBuilder { svc, handles }
     }
 
     /// Inject deterministic hash-seeded faults (errors and latency
@@ -291,9 +172,7 @@ impl<S: LatencyService> ServiceBuilder<S> {
         let svc = FaultInject::new(self.svc, config);
         let mut handles = self.handles;
         handles.fault = Some(svc.handle());
-        let mut spec = self.spec;
-        spec.push(LayerTag::FaultInject);
-        ServiceBuilder { svc, handles, spec }
+        ServiceBuilder { svc, handles }
     }
 
     /// Enforce wall-clock budgets on the current stack, converting
@@ -304,9 +183,7 @@ impl<S: LatencyService> ServiceBuilder<S> {
         let svc = Deadline::new(self.svc, policy);
         let mut handles = self.handles;
         handles.deadline = Some(svc.handle());
-        let mut spec = self.spec;
-        spec.push(LayerTag::Deadline);
-        ServiceBuilder { svc, handles, spec }
+        ServiceBuilder { svc, handles }
     }
 
     /// Shed load off the current stack when it keeps failing, via a
@@ -315,9 +192,7 @@ impl<S: LatencyService> ServiceBuilder<S> {
         let svc = CircuitBreaker::new(self.svc, config);
         let mut handles = self.handles;
         handles.breaker = Some(svc.handle());
-        let mut spec = self.spec;
-        spec.push(LayerTag::CircuitBreaker);
-        ServiceBuilder { svc, handles, spec }
+        ServiceBuilder { svc, handles }
     }
 
     /// Re-attempt transient failures of the current stack, with
@@ -329,9 +204,7 @@ impl<S: LatencyService> ServiceBuilder<S> {
         let svc = Retry::new(self.svc, policy);
         let mut handles = self.handles;
         handles.retry = Some(svc.handle());
-        let mut spec = self.spec;
-        spec.push(LayerTag::Retry);
-        ServiceBuilder { svc, handles, spec }
+        ServiceBuilder { svc, handles }
     }
 
     /// Count queries, batches, errors, and served seconds at this point
@@ -340,16 +213,14 @@ impl<S: LatencyService> ServiceBuilder<S> {
         let svc = Instrumented::new(self.svc);
         let mut handles = self.handles;
         handles.metrics = Some(svc.handle());
-        let mut spec = self.spec;
-        spec.push(LayerTag::Instrumented);
-        ServiceBuilder { svc, handles, spec }
+        ServiceBuilder { svc, handles }
     }
 
     /// Erase the stack's concrete layer composition behind a trait
     /// object, so stacks whose shapes diverge at runtime (with vs.
     /// without a persist tier, say) share one type. Installs no layer:
-    /// handles and spec carry through unchanged, and boxing a service
-    /// is behaviorally invisible.
+    /// handles carry through unchanged, and boxing a service is
+    /// behaviorally invisible.
     pub fn boxed(self) -> ServiceBuilder<Box<dyn LatencyService + Send + Sync>>
     where
         S: Send + Sync + 'static,
@@ -357,7 +228,6 @@ impl<S: LatencyService> ServiceBuilder<S> {
         ServiceBuilder {
             svc: Box::new(self.svc),
             handles: self.handles,
-            spec: self.spec,
         }
     }
 
@@ -366,7 +236,6 @@ impl<S: LatencyService> ServiceBuilder<S> {
         ServiceStack {
             svc: self.svc,
             handles: self.handles,
-            spec: self.spec,
         }
     }
 }
@@ -376,19 +245,12 @@ impl<S: LatencyService> ServiceBuilder<S> {
 pub struct ServiceStack<S> {
     svc: S,
     handles: StackHandles,
-    spec: StackSpec,
 }
 
 impl<S> ServiceStack<S> {
     /// Handles to the installed layers' counters.
     pub fn handles(&self) -> &StackHandles {
         &self.handles
-    }
-
-    /// The layer composition this stack was built with, innermost
-    /// first — feed to `predtop_analyze`'s stack-ordering lints.
-    pub fn spec(&self) -> &StackSpec {
-        &self.spec
     }
 
     /// The composed service.
@@ -515,31 +377,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_records_layers_in_wrap_order() {
-        let (svc, _) = counting_service();
-        let stack = ServiceBuilder::new(svc)
-            .memoize_structural()
-            .batched(2)
-            .instrumented()
-            .finish();
-        assert_eq!(
-            stack.spec().layers(),
-            &[
-                LayerTag::MemoizeStructural,
-                LayerTag::Batched,
-                LayerTag::Instrumented
-            ]
-        );
-        assert_eq!(
-            stack.spec().label(),
-            "MemoizeStructural → Batched → Instrumented"
-        );
-        assert!(LayerTag::Memoize.same_family(LayerTag::MemoizeStructural));
-        assert!(!LayerTag::Memoize.same_family(LayerTag::Batched));
-    }
-
-    #[test]
-    fn persisted_stack_spec_and_combined_hit_accounting() {
+    fn persisted_stack_combined_hit_accounting() {
         let dir = std::env::temp_dir().join(format!(
             "predtop-builder-persist-{}-{:?}",
             std::process::id(),
@@ -563,15 +401,6 @@ mod tests {
         };
 
         let (cold, cold_calls) = build(store.clone());
-        assert_eq!(
-            cold.spec().layers(),
-            &[
-                LayerTag::Persist,
-                LayerTag::MemoizeStructural,
-                LayerTag::Batched,
-                LayerTag::Instrumented
-            ]
-        );
         let cold_replies = cold.query_batch(&qs);
         assert!(cold_replies.iter().all(|r| r.is_ok()));
         // 3 structural classes: memoize absorbs repeats in-run, persist

@@ -44,10 +44,8 @@
 //! or served by a stand-in source). The inter-stage DP therefore chooses
 //! bit-identical plans through any stack built from these layers.
 //!
-//! Bridges to the pre-service world: [`ProviderService`] lifts any
-//! `predtop_parallel::StageLatencyProvider` into a named service, and
-//! [`AsProvider`] projects a service back down for APIs (like
-//! `PipelinePlan::latency`) that still speak the provider trait.
+//! The bridge from the pre-service world: [`ProviderService`] lifts any
+//! `predtop_parallel::StageLatencyProvider` into a named service.
 //!
 //! The serving surface sits on top: [`api`] is the versioned
 //! request/response vocabulary every frontend (CLI, wire protocol,
@@ -81,8 +79,8 @@ pub use batched::{BatchHandle, BatchStats, Batched, DispatchPolicy};
 pub use breaker::{
     AdmissionControl, BreakerConfig, BreakerHandle, BreakerStats, CircuitBreaker, CircuitState,
 };
-pub use bridge::{plan_latency, provider_stack, AsProvider, ProviderService, Unavailable};
-pub use builder::{LayerTag, ServiceBuilder, ServiceStack, StackHandles, StackSpec};
+pub use bridge::{plan_latency, ProviderService, Unavailable};
+pub use builder::{ServiceBuilder, ServiceStack, StackHandles};
 pub use deadline::{Deadline, DeadlineHandle, DeadlinePolicy, DeadlineStats};
 pub use fallback::{Fallback, FallbackHandle, FallbackStats};
 pub use fault::{FaultConfig, FaultHandle, FaultInject, FaultStats};

@@ -26,7 +26,7 @@
 //! store directory can be shared across platforms and chaos seeds
 //! without cross-contamination.
 //!
-//! **Placement** (lints `P2106`/`P2107`/`P2203` in `predtop-analyze`):
+//! **Placement** (DESIGN.md §10, fixed in `predtop-core`'s two stacks):
 //! directly **inside [`crate::Memoize`]** — memory absorbs in-run
 //! repeats, disk absorbs across-run repeats, and only first-in-run
 //! misses reach the inner source — and **inside [`crate::Batched`]** so

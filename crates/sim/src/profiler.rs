@@ -9,7 +9,9 @@
 //! (mesh, configuration)), and every *fresh* profile is charged to the
 //! [`CostLedger`] so experiments can compare profiling bills.
 //!
-//! As a `LatencyService` the profiler is **infallible**: it can answer
+//! As a `LatencyService` (the impl lives in `predtop-service`'s bridge
+//! module, so this crate stays below the service layer) the profiler
+//! is **infallible**: it can answer
 //! any (stage, mesh, config) scenario, so a stack rooted at a
 //! `SimProfiler` only ever errors through the fault-tolerance layers
 //! wrapped around it (`FaultInject`, `Deadline`, `CircuitBreaker` — see
@@ -31,8 +33,6 @@ use predtop_parallel::{
     intra::{self, param_bytes},
     MeshShape, ParallelConfig, StageLatencyProvider,
 };
-
-use predtop_service::{LatencyQuery, LatencyReply, LatencyService, ServiceError};
 
 use crate::costing::{CostLedger, CostingModel};
 use crate::memory::{estimate_stage_memory, fits_on};
@@ -159,21 +159,6 @@ impl StageLatencyProvider for SimProfiler {
         ));
         self.latency_cache.lock().insert(key, latency);
         latency
-    }
-}
-
-impl LatencyService for SimProfiler {
-    fn name(&self) -> &'static str {
-        "simulator"
-    }
-
-    fn query(&self, q: &LatencyQuery) -> Result<LatencyReply, ServiceError> {
-        // the simulator can cost any (stage, mesh, config) triple, so it
-        // is the infallible base of every fallback chain
-        Ok(LatencyReply {
-            seconds: self.stage_latency(&q.stage, q.mesh, q.config),
-            source: self.name(),
-        })
     }
 }
 

@@ -74,9 +74,6 @@ options:
                              store at DIR, so a second identical run
                              is served from disk (profile/search/
                              predict/serve)
-  --raw-cache                (search/serve) memoize on raw query
-                             identity instead of structural equivalence
-                             classes
   --checked                  (search) reject statically illegal
                              candidates (sharding divisibility + the
                              liveness-tight memory bound) before any
@@ -144,7 +141,7 @@ fn parse_args() -> Args {
         if matches!(key.as_str(), "help" | "h") {
             help();
         }
-        if matches!(key.as_str(), "scaled" | "raw-cache" | "checked") {
+        if matches!(key.as_str(), "scaled" | "checked") {
             switches.push(key);
         } else {
             i += 1;
@@ -317,16 +314,10 @@ impl Args {
     /// the common flags. One construction path: the CLI, the `serve`
     /// daemon, and the tests all run the identical stacks.
     fn engine(&self, model_path: Option<String>) -> ServeEngine {
-        let fault_rate = self.f64_flag("inject-fault-rate", 0.0);
-        if !(0.0..=1.0).contains(&fault_rate) {
-            eprintln!("--inject-fault-rate expects a probability in [0, 1], got {fault_rate}");
-            exit(2);
-        }
         let mut config = EngineConfig::new(self.platform(), self.platform_id(), self.seed());
         config.threads = self.usize_flag("threads", configured_threads());
         config.store = self.store();
-        config.raw_cache = self.switches.iter().any(|s| s == "raw-cache");
-        config.fault_rate = fault_rate;
+        config.fault_rate = self.f64_flag("inject-fault-rate", 0.0);
         config.fault_seed = self.usize_flag("fault-seed", 0) as u64;
         config.retries = self.usize_flag("retry", 0);
         config.deadline = self
@@ -335,15 +326,10 @@ impl Args {
             .then(|| self.f64_flag("deadline-ms", 0.0) / 1000.0);
         config.breaker = BreakerConfig::tripping_after(self.usize_flag("breaker-trip", 5));
         config.model_path = model_path;
-        match ServeEngine::new(config) {
-            Ok(engine) => engine,
-            Err(diags) => {
-                // the same `P2xxx` rules `predtop-lint --stack` enforces
-                eprintln!("internal error: the search service stack is misordered");
-                eprint!("{diags}");
-                exit(1);
-            }
-        }
+        ServeEngine::new(config).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            exit(2)
+        })
     }
 }
 

@@ -98,9 +98,6 @@ options:
                              store at DIR, so a second identical run
                              is served from disk (profile/search/
                              predict/serve)
-  --raw-cache                (search/serve) memoize on raw query
-                             identity instead of structural equivalence
-                             classes
   --checked                  (search) reject statically illegal
                              candidates (sharding divisibility + the
                              liveness-tight memory bound) before any
@@ -265,55 +262,6 @@ fn search_finds_a_plan() {
     // the service stack's accounting is part of the report
     assert!(text.contains("memoize:"), "{text}");
     assert!(text.contains("service:"), "{text}");
-}
-
-#[test]
-fn search_raw_cache_switch_changes_only_the_accounting() {
-    let structural = predtop()
-        .args([
-            "search",
-            "--scaled",
-            "--platform",
-            "1",
-            "--microbatches",
-            "4",
-        ])
-        .output()
-        .expect("run structural predtop search");
-    assert!(structural.status.success());
-    let structural = String::from_utf8_lossy(&structural.stdout);
-    assert!(structural.contains("structural keys:"), "{structural}");
-
-    let raw = predtop()
-        .args([
-            "search",
-            "--scaled",
-            "--platform",
-            "1",
-            "--microbatches",
-            "4",
-            "--raw-cache",
-        ])
-        .output()
-        .expect("run raw-cache predtop search");
-    assert!(
-        raw.status.success(),
-        "{}",
-        String::from_utf8_lossy(&raw.stderr)
-    );
-    let raw = String::from_utf8_lossy(&raw.stdout);
-    // raw-identity keys never dedup within one search, and the
-    // interner line disappears with them
-    assert!(raw.contains("memoize: 0 hits"), "{raw}");
-    assert!(!raw.contains("structural keys:"), "{raw}");
-    // both runs land on the identical plan and latency
-    let plan_lines = |s: &str| -> Vec<String> {
-        s.lines()
-            .filter(|l| l.contains("GPT-3[") || l.contains("iteration latency"))
-            .map(str::to_string)
-            .collect()
-    };
-    assert_eq!(plan_lines(&structural), plan_lines(&raw));
 }
 
 #[test]
@@ -498,6 +446,20 @@ fn search_rejects_an_out_of_range_fault_rate() {
         .expect("run predtop search");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("probability"));
+}
+
+#[test]
+fn search_rejects_a_negative_or_nan_deadline_without_panicking() {
+    for budget in ["-5", "nan"] {
+        let out = predtop()
+            .args(["search", "--scaled", "--deadline-ms", budget])
+            .output()
+            .expect("run predtop search");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--deadline-ms {budget}: {err}");
+        assert!(!err.contains("panicked"), "--deadline-ms {budget}: {err}");
+        assert!(err.contains("deadline"), "--deadline-ms {budget}: {err}");
+    }
 }
 
 /// A fresh per-test store directory under the system temp dir.

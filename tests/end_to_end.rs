@@ -60,7 +60,8 @@ fn predictor_search_vs_full_profiling_search() {
     };
 
     let profiler = SimProfiler::new(Platform::platform1(), 3);
-    let full = search_plan(model, cluster, &profiler, &profiler, opts);
+    let req = SearchRequest::new(model, cluster, opts);
+    let full = run_search(&req, &profiler, &profiler).expect("the simulator is infallible");
     full.plan.validate(&model).unwrap();
 
     let profiler2 = SimProfiler::new(Platform::platform1(), 3);
@@ -73,7 +74,7 @@ fn predictor_search_vs_full_profiling_search() {
     };
     let pt = PredTop::fit(model, cluster, &profiler2, &cfg);
     let truth = SimProfiler::new(Platform::platform1(), 3);
-    let pred = search_plan(model, cluster, &pt, &truth, opts);
+    let pred = run_search(&req, &pt, &truth).expect("every scenario was fitted");
     pred.plan.validate(&model).unwrap();
 
     // optimality of the full search is a hard invariant
@@ -141,16 +142,15 @@ fn memory_aware_search_avoids_oom_plans() {
     );
 
     let profiler = SimProfiler::new(platform.clone(), 7).with_memory_check(0.1);
-    let out = search_plan(
+    let req = SearchRequest::new(
         model,
         MeshShape::new(2, 2),
-        &profiler,
-        &profiler,
         InterStageOptions {
             microbatches: 4,
             imbalance_tolerance: None,
         },
     );
+    let out = run_search(&req, &profiler, &profiler).expect("the simulator is infallible");
     out.plan.validate(&model).unwrap();
     assert!(
         out.true_latency.is_finite(),

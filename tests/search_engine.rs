@@ -3,9 +3,9 @@
 //! may change the plan a search chooses, its reported latencies, or its
 //! query accounting.
 //!
-//! All stacks are assembled through `ServiceBuilder` — the single
-//! latency API since the legacy `search_plan_cached*` / `CachedProvider`
-//! entry points were retired.
+//! Plain searches go through `run_search`; memoized stacks are
+//! assembled with `ServiceBuilder` and driven through
+//! `search_plan_service`.
 
 use predtop::prelude::*;
 
@@ -26,13 +26,24 @@ fn opts() -> InterStageOptions {
     }
 }
 
+/// The plain (unmemoized) search on `threads` workers.
+fn plain_search(
+    m: ModelSpec,
+    cluster: MeshShape,
+    profiler: &SimProfiler,
+    threads: usize,
+) -> SearchOutcome {
+    let req = SearchRequest::new(m, cluster, opts()).threads(threads);
+    run_search(&req, profiler, profiler).expect("the simulator is infallible")
+}
+
 #[test]
 fn search_is_bit_identical_across_thread_counts() {
     let m = tiny_model();
     let cluster = MeshShape::new(2, 2);
     let run = |threads: usize| {
         let profiler = SimProfiler::new(Platform::platform2(), 6);
-        predtop::core::search_plan_with_threads(m, cluster, &profiler, &profiler, opts(), threads)
+        plain_search(m, cluster, &profiler, threads)
     };
     let base = run(1);
     for threads in [2, 8] {
@@ -58,14 +69,7 @@ fn memoized_search_never_changes_the_plan() {
     let cluster = MeshShape::new(2, 2);
     for threads in [1, 4] {
         let profiler = SimProfiler::new(Platform::platform2(), 6);
-        let plain = predtop::core::search_plan_with_threads(
-            m,
-            cluster,
-            &profiler,
-            &profiler,
-            opts(),
-            threads,
-        );
+        let plain = plain_search(m, cluster, &profiler, threads);
         let profiler2 = SimProfiler::new(Platform::platform2(), 6);
         let stack = ServiceBuilder::new(&profiler2)
             .memoize()
@@ -91,7 +95,7 @@ fn memoized_search_never_issues_more_underlying_queries() {
     let cluster = MeshShape::new(2, 2);
 
     let profiler = SimProfiler::new(Platform::platform2(), 6);
-    let _ = search_plan(m, cluster, &profiler, &profiler, opts());
+    let _ = plain_search(m, cluster, &profiler, configured_threads());
     let uncached_queries = profiler.queries_issued();
 
     let profiler2 = SimProfiler::new(Platform::platform2(), 6);

@@ -1,9 +1,10 @@
-//! Acceptance contract of the `LatencyService` middleware refactor: a
-//! checked search driven through an explicitly assembled
-//! `ServiceBuilder` stack is **bit-identical** to the legacy
-//! provider-based entry point, for both benchmark model families and at
-//! multiple worker-pool sizes — and the stack's memoize / fallback
-//! layers report honest accounting while staying transparent.
+//! Acceptance contract of the `LatencyService` middleware: a checked
+//! search driven through an explicitly assembled `ServiceBuilder` stack
+//! is **bit-identical** to the plain `run_search` entry point, for both
+//! benchmark model families and at multiple worker-pool sizes — the
+//! stack's memoize / fallback layers report honest accounting while
+//! staying transparent — and the serving engine's fixed layer order is
+//! pinned by its ledgers.
 
 use predtop::prelude::*;
 
@@ -45,20 +46,17 @@ fn service_stack_checked_search_is_bit_identical_to_legacy() {
     let cluster = MeshShape::new(2, 2);
     for (name, model) in [("gpt3", gpt3()), ("moe", moe())] {
         for threads in [1usize, 4] {
-            // legacy provider path
+            // the plain path: a bare `Batched` stack
             let profiler = SimProfiler::new(Platform::platform2(), 6);
-            let legacy = predtop::core::search_plan_checked_with_threads(
-                model,
-                cluster,
-                &profiler,
-                &profiler,
-                opts(),
-                threads,
-            );
+            let legality = search_legality(model, &profiler, opts());
+            let req = SearchRequest::new(model, cluster, opts())
+                .threads(threads)
+                .legality(&legality);
+            let legacy = run_search(&req, &profiler, &profiler)
+                .expect("the simulator serves every scenario");
 
-            // the same search through a full middleware stack
+            // the same search through a memoizing middleware stack
             let profiler2 = SimProfiler::new(Platform::platform2(), 6);
-            let legality = search_legality(model, &profiler2, opts());
             let stack = ServiceBuilder::new(&profiler2)
                 .memoize()
                 .batched(threads)
@@ -153,4 +151,53 @@ fn exhausted_fallback_chain_surfaces_the_error() {
     let err = search_plan_service(model, cluster, &dead, &profiler, opts(), None)
         .expect_err("a dead chain cannot serve a search");
     assert_eq!(err.source(), "analytic", "the last hop owns the error");
+}
+
+/// The layer order of the serving stack is fixed in `ServeEngine::new`;
+/// this pins it through the ledgers of one chaos search against a cold
+/// store. Each equality only holds in the intended order.
+#[test]
+fn serve_engine_ledgers_pin_the_fixed_layer_order() {
+    let dir = std::env::temp_dir().join(format!("predtop-stack-order-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = EngineConfig::new(Platform::platform1(), "1", 7);
+    config.fault_rate = 0.2;
+    config.retries = 3;
+    config.store = Some(std::sync::Arc::new(Store::open(&dir).unwrap()));
+    let engine = ServeEngine::new(config).unwrap();
+
+    // the CLI's `--scaled` GPT-3
+    let mut model = ModelSpec::gpt3_1p3b(2);
+    model.seq_len = 128;
+    model.hidden = 128;
+    model.num_heads = 8;
+    model.vocab = 2048;
+    model.num_layers = 8;
+    let spec = api::SearchSpec {
+        model,
+        microbatches: 4,
+        imbalance_tolerance: None,
+        checked: false,
+    };
+    let num_queries = match engine.handle(&api::Request::Search(spec)) {
+        api::Response::Search(result) => result.num_queries,
+        other => panic!("expected a search result, got {other:?}"),
+    };
+
+    let report = engine.report();
+    let fault = report.fault.expect("fault layer installed");
+    let retry = report.retry.expect("retry layer installed");
+    let persist = report.persist.expect("persist layer installed");
+    let cache = report.cache.expect("memoize layer installed");
+    let metrics = report.metrics.expect("instrumented layer installed");
+    // Retry sits outside FaultInject: every injected error became a retry
+    assert!(fault.injected_errors > 0, "no fault was ever injected");
+    assert_eq!(retry.retries, fault.injected_errors);
+    assert_eq!(retry.exhausted, 0);
+    // Persist sits inside Memoize: only memo misses reach the disk tier
+    assert!(cache.hits > 0, "the structural memo never hit");
+    assert_eq!(persist.disk_misses, cache.misses);
+    // Instrumented is outermost: it counts exactly the work-list
+    assert_eq!(metrics.queries, num_queries);
+    let _ = std::fs::remove_dir_all(&dir);
 }
