@@ -4,22 +4,23 @@
 //! ```text
 //! predtop-lint [--format text|json] [--models both|gpt3|moe|none]
 //!              [--plan FILE]... [--fix]
-//!              [--inject-fault] [--inject-plan-fault] [FILE...]
+//!              [--inject-fault] [--inject-plan-fault]
 //! ```
 //!
-//! With no `FILE` arguments the built-in benchmark models (GPT-3 1.3B
+//! With no `--plan` arguments the built-in benchmark models (GPT-3 1.3B
 //! and MoE 2.6B at batch 8) are linted, including the plan passes over
-//! each model's trivial single-device plan; `FILE` arguments are parsed
-//! as persisted `Graph` JSON and graph-passes linted. `--plan FILE`
-//! arguments are parsed as persisted `PipelinePlan` JSON (e.g. written
-//! by `predtop search --plan-out`) and plan-passes linted against the
-//! model embedded in the plan's stages.
+//! each model's trivial single-device plan. `--plan FILE` arguments
+//! are decoded as plan files — the canonical byte encoding of
+//! [`predtop_parallel::codec`] that `predtop search --plan-out` writes
+//! and the object store and wire protocol share — and plan-passes
+//! linted against the model embedded in the plan's stages.
 //!
 //! `--fix` applies every machine-applicable fix attached to plan
 //! findings, re-analyzing to a fixpoint: plan files are rewritten in
-//! place and the report shows what remains. Fixes are absolute edits,
-//! so a second `--fix` run applies nothing — the binary verifies this
-//! after every fix and CI diffs the twice-fixed file to pin it.
+//! place, in the same encoding, and the report shows what remains.
+//! Fixes are absolute edits, so a second `--fix` run applies nothing —
+//! the binary verifies this after every fix and CI diffs the
+//! twice-fixed file to pin it.
 //!
 //! The two `--inject-*` flags append deliberately broken subjects so
 //! CI can verify each error path without fixture files: a graph with a
@@ -30,7 +31,7 @@
 //! cache's hit/miss accounting is printed to stderr after the reports.
 //!
 //! Exit status: 0 clean (no `Error` findings), 1 at least one `Error`
-//! finding, 2 usage / IO / parse failure.
+//! finding, 2 usage / IO / decode failure.
 
 use std::process::ExitCode;
 
@@ -40,6 +41,7 @@ use predtop_analyze::{
 };
 use predtop_ir::{DType, Graph, GraphBuilder, OpKind, Shape};
 use predtop_models::{ModelSpec, StageSpec};
+use predtop_parallel::codec::{decode_plan, encode_plan};
 use predtop_parallel::{MeshShape, ParallelConfig, PipelinePlan, PlannedStage};
 
 #[derive(Clone, Copy, PartialEq)]
@@ -62,14 +64,12 @@ struct Args {
     fix: bool,
     inject_fault: bool,
     inject_plan_fault: bool,
-    files: Vec<String>,
     plans: Vec<String>,
 }
 
 const USAGE: &str = "usage: predtop-lint [--format text|json] \
                      [--models both|gpt3|moe|none] [--plan FILE]... \
-                     [--fix] [--inject-fault] [--inject-plan-fault] \
-                     [FILE...]";
+                     [--fix] [--inject-fault] [--inject-plan-fault]";
 
 /// The structured usage diagnostic for a bad `--models` value: the
 /// same renderer and code-table discipline as every analysis finding
@@ -93,7 +93,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         fix: false,
         inject_fault: false,
         inject_plan_fault: false,
-        files: Vec::new(),
         plans: Vec::new(),
     };
     let mut it = argv.iter();
@@ -124,7 +123,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--inject-plan-fault" => args.inject_plan_fault = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             f if f.starts_with('-') => return Err(format!("unknown flag {f}\n{USAGE}")),
-            f => args.files.push(f.to_string()),
+            f => {
+                return Err(format!(
+                    "unexpected argument {f} (plan files go after --plan)\n{USAGE}"
+                ))
+            }
         }
     }
     Ok(args)
@@ -193,40 +196,6 @@ fn lint_model(cache: &GraphLintCache, model: ModelSpec, name: &str) -> Report {
     }
 }
 
-/// Whether `path`'s contents are the offline `serde_json` stub's
-/// serialization placeholder. The stub writes `"{}"` for every value
-/// and cannot deserialize anything back, so a placeholder file is a
-/// legitimately persisted artifact that this environment simply cannot
-/// reload; the lint degrades to an explicit skip (exit 0 with a note)
-/// instead of a spurious parse error — the same leg the workspace
-/// tests take via their `json_roundtrip_supported` probes. Any other
-/// unparsable body is still a hard error.
-fn stub_placeholder(body: &str) -> bool {
-    serde_json::from_str::<u32>("1").is_err() && body.trim() == "{}"
-}
-
-fn skipped_report(path: &str, what: &str) -> Report {
-    eprintln!("note: {path}: offline serde_json stub cannot load a persisted {what}; skipping");
-    Report {
-        subject: format!("{path} ({what}, skipped: offline serde_json stub)"),
-        diags: Vec::new(),
-    }
-}
-
-fn lint_file(cache: &GraphLintCache, path: &str) -> Result<Report, String> {
-    let body =
-        std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read file: {e}"))?;
-    if stub_placeholder(&body) {
-        return Ok(skipped_report(path, "graph"));
-    }
-    let graph: Graph =
-        serde_json::from_str(&body).map_err(|e| format!("{path}: not a persisted graph: {e}"))?;
-    Ok(Report {
-        subject: path.to_string(),
-        diags: cache.analyze(&graph).as_ref().clone(),
-    })
-}
-
 /// Fix `plan` to a fixpoint and verify idempotence: re-fixing the
 /// output must apply zero edits (fix edits are absolute, DESIGN.md
 /// §12). Returns the fixed plan and the findings that remain.
@@ -252,13 +221,8 @@ fn fix_and_verify(
 }
 
 fn lint_plan_file(path: &str, fix: bool) -> Result<Report, String> {
-    let body =
-        std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read file: {e}"))?;
-    if stub_placeholder(&body) {
-        return Ok(skipped_report(path, "plan"));
-    }
-    let plan: PipelinePlan =
-        serde_json::from_str(&body).map_err(|e| format!("{path}: not a persisted plan: {e}"))?;
+    let bytes = std::fs::read(path).map_err(|e| format!("{path}: cannot read file: {e}"))?;
+    let plan = decode_plan(&bytes).map_err(|e| format!("{path}: not a plan file: {e}"))?;
     // every stage is sliced from the same model; the first one carries it
     let model = plan
         .stages
@@ -269,9 +233,7 @@ fn lint_plan_file(path: &str, fix: bool) -> Result<Report, String> {
     if fix {
         let (fixed, remaining) = fix_and_verify(&plan, &model, path);
         if fixed != plan {
-            let body = serde_json::to_string(&fixed)
-                .map_err(|e| format!("{path}: cannot serialize fixed plan: {e}"))?;
-            std::fs::write(path, body)
+            std::fs::write(path, encode_plan(&fixed))
                 .map_err(|e| format!("{path}: cannot write fixed plan: {e}"))?;
             eprintln!("fix: {path}: rewrote plan file");
         }
@@ -331,14 +293,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // default: lint the benchmark models, unless files were given
-    let models = args
-        .models
-        .unwrap_or(if args.files.is_empty() && args.plans.is_empty() {
-            Models::Both
-        } else {
-            Models::None
-        });
+    // default: lint the benchmark models, unless plan files were given
+    let models = args.models.unwrap_or(if args.plans.is_empty() {
+        Models::Both
+    } else {
+        Models::None
+    });
 
     let cache = GraphLintCache::new();
     let mut reports = Vec::new();
@@ -347,15 +307,6 @@ fn main() -> ExitCode {
     }
     if matches!(models, Models::Both | Models::Moe) {
         reports.push(lint_model(&cache, ModelSpec::moe_2p6b(8), "moe-2.6b"));
-    }
-    for f in &args.files {
-        match lint_file(&cache, f) {
-            Ok(r) => reports.push(r),
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::from(2);
-            }
-        }
     }
     for f in &args.plans {
         match lint_plan_file(f, args.fix) {

@@ -13,6 +13,7 @@ use predtop_analyze::{
 use predtop_cluster::GpuSpec;
 use predtop_ir::{DType, Graph, GraphBuilder, OpKind, Shape};
 use predtop_models::{ModelSpec, StageSpec};
+use predtop_parallel::codec::encode_plan;
 use predtop_parallel::{MeshShape, ParallelConfig, PipelinePlan, PlannedStage};
 use predtop_sim::memory::fits_on;
 
@@ -425,16 +426,135 @@ fn cli_bad_input_exits_two() {
     let out = lint_cmd().args(["--format", "yaml"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
 
-    let dir = std::env::temp_dir();
-    let path = dir.join("predtop-lint-malformed-test.json");
-    std::fs::write(&path, "this is not a graph").unwrap();
-    let out = lint_cmd().arg(&path).output().unwrap();
+    // positional arguments are not an input any more
+    let out = lint_cmd().arg("some-file").output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+
+    let dir = std::env::temp_dir();
+    let path = dir.join("predtop-lint-malformed-test.plan");
+    std::fs::write(&path, "this is not a plan").unwrap();
+    let out = lint_cmd().arg("--plan").arg(&path).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("not a plan file"), "{stderr}");
     std::fs::remove_file(&path).ok();
 
     let out = lint_cmd()
+        .arg("--plan")
         .arg(dir.join("predtop-lint-no-such-file"))
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn cli_plan_with_a_zero_mesh_field_exits_two() {
+    let m = ModelSpec::gpt3_1p3b(8);
+    let plan = PipelinePlan {
+        stages: vec![PlannedStage {
+            stage: StageSpec::new(m, 0, m.num_layers),
+            mesh: MeshShape::new(1, 1),
+            config: ParallelConfig::SERIAL,
+        }],
+        microbatches: 1,
+    };
+    let mut bytes = encode_plan(&plan);
+    // the stage's mesh nodes are the first of its four trailing degrees
+    let nodes = bytes.len() - 4 * 8;
+    assert_eq!(&bytes[nodes..nodes + 8], &1u64.to_le_bytes());
+    bytes[nodes] = 0;
+    let path = std::env::temp_dir().join("predtop-lint-zero-mesh-test.plan");
+    std::fs::write(&path, &bytes).unwrap();
+    let out = lint_cmd().arg("--plan").arg(&path).output().unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("mesh nodes"), "{stderr}");
+}
+
+/// The `predtop` CLI. It is not a target of this crate; any workspace
+/// test run (`cargo test --workspace`) builds it next to `predtop-lint`.
+fn predtop_cmd() -> std::process::Command {
+    let bin = std::path::Path::new(env!("CARGO_BIN_EXE_predtop-lint"))
+        .with_file_name(format!("predtop{}", std::env::consts::EXE_SUFFIX));
+    assert!(
+        bin.exists(),
+        "{} is not built: run `cargo test --workspace` (or `cargo build --bin predtop`)",
+        bin.display()
+    );
+    std::process::Command::new(bin)
+}
+
+/// Run `predtop search --scaled --platform 1 --microbatches B` and
+/// write the chosen plan to a fresh file at `path`.
+fn search_plan_file(path: &std::path::Path, microbatches: &str) {
+    let _ = std::fs::remove_file(path);
+    let out = predtop_cmd()
+        .args(["search", "--scaled", "--platform", "1", "--microbatches"])
+        .arg(microbatches)
+        .arg("--plan-out")
+        .arg(path)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// `predtop-lint [--fix] --plan path`: the exit code and stdout.
+fn lint_plan_file(path: &std::path::Path, fix: bool) -> (Option<i32>, String) {
+    let mut cmd = lint_cmd();
+    if fix {
+        cmd.arg("--fix");
+    }
+    let out = cmd.arg("--plan").arg(path).output().unwrap();
+    (out.status.code(), String::from_utf8(out.stdout).unwrap())
+}
+
+#[test]
+fn cli_lints_a_searched_plan_file_and_fix_is_idempotent() {
+    let path = std::env::temp_dir().join("predtop-lint-searched-test.plan");
+    search_plan_file(&path, "2");
+    let (code, stdout) = lint_plan_file(&path, false);
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(
+        stdout.contains(&format!("==> {} (plan) (0 errors", path.display())),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("skipped"), "{stdout}");
+
+    // a clean plan is left alone by --fix, byte for byte
+    let searched = std::fs::read(&path).unwrap();
+    for _ in 0..2 {
+        assert_eq!(lint_plan_file(&path, true).0, Some(0));
+        assert_eq!(std::fs::read(&path).unwrap(), searched);
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn cli_fix_rewrites_an_illegal_searched_plan_once() {
+    // the unchecked search accepts 4 micro-batches of the scaled batch
+    // of 2; the lint flags the plan and --fix rewrites the file
+    let path = std::env::temp_dir().join("predtop-lint-searched-fix-test.plan");
+    search_plan_file(&path, "4");
+    let (code, stdout) = lint_plan_file(&path, false);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains("error[P1301]"), "{stdout}");
+
+    let (code, stdout) = lint_plan_file(&path, true);
+    assert_eq!(code, Some(0), "{stdout}");
+    let once = std::fs::read(&path).unwrap();
+    let fixed = predtop_parallel::codec::decode_plan(&once).unwrap();
+    assert!(fixed.microbatches <= 2, "{fixed:?}");
+    assert_eq!(lint_plan_file(&path, true).0, Some(0));
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        once,
+        "a second --fix run changed the plan file"
+    );
+    assert_eq!(lint_plan_file(&path, false).0, Some(0));
+    std::fs::remove_file(&path).ok();
 }

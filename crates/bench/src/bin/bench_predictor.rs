@@ -2,8 +2,8 @@
 //! data-parallel training wall-clock, and per-query inference latency —
 //! with the determinism contract checked on every run.
 //!
-//! Emits stable-schema JSON (see `jsonout`) so CI and dashboards can
-//! track regressions by field name:
+//! Emits stable-schema JSON (see `predtop_store::json`) so CI and
+//! dashboards can track regressions by field name:
 //!
 //! * `threads` / `timing` / `kernel_config` — run provenance: worker
 //!   count, the best-of-N timing policy, and the dispatched kernel tier
@@ -34,7 +34,6 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use predtop_bench::jsonout::{hex_u64, write_json_file, Json};
 use predtop_bench::Protocol;
 use predtop_cluster::Platform;
 use predtop_gnn::train::train_with_threads;
@@ -43,6 +42,7 @@ use predtop_models::sample_stages;
 use predtop_parallel::{MeshShape, ParallelConfig, StageLatencyProvider};
 use predtop_runtime::configured_threads;
 use predtop_sim::SimProfiler;
+use predtop_store::json::{hex_u64, write_json_file, Json};
 use predtop_tensor::{active_isa, available_isas, kernel_stats, reset_kernel_stats, Matrix};
 
 struct Args {

@@ -37,13 +37,13 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use predtop_bench::jsonout::{write_json_file, Json};
 use predtop_cluster::Platform;
 use predtop_core::{EngineConfig, ServeEngine};
 use predtop_models::ModelSpec;
 use predtop_parallel::{MeshShape, ParallelConfig};
 use predtop_service::api::{ErrorKind, ProfileSpec, Request, Response};
 use predtop_service::wire::{Client, Server, ServerConfig};
+use predtop_store::json::{write_json_file, Json};
 
 struct Cli {
     out: PathBuf,

@@ -31,13 +31,13 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use predtop_bench::jsonout::{write_json_file, Json};
 use predtop_cluster::Platform;
 use predtop_core::{run_search, search_plan_service, SearchOutcome, SearchRequest};
 use predtop_models::ModelSpec;
 use predtop_parallel::{InterStageOptions, MeshShape};
 use predtop_service::{PersistStats, ServiceBuilder};
 use predtop_sim::SimProfiler;
+use predtop_store::json::{write_json_file, Json};
 use predtop_store::Store;
 
 const THREADS: usize = 4;

@@ -17,7 +17,6 @@
 
 use std::path::PathBuf;
 
-use predtop_bench::jsonout::{write_json_file, Json};
 use predtop_cluster::Platform;
 use predtop_core::{run_search, search_plan_service, SearchOutcome, SearchRequest};
 use predtop_models::ModelSpec;
@@ -25,6 +24,7 @@ use predtop_parallel::{InterStageOptions, MeshShape};
 use predtop_runtime::configured_threads;
 use predtop_service::{BreakerConfig, FaultConfig, RetryPolicy, ServiceBuilder};
 use predtop_sim::SimProfiler;
+use predtop_store::json::{write_json_file, Json};
 
 /// Fault-injection hash seed: chosen so the 20% error rate never strings
 /// together more than 3 consecutive failures on any query of this

@@ -27,8 +27,8 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use predtop_analyze::{analyze_graph, Diagnostic, GraphLintCache};
-use predtop_bench::jsonout::{write_json_file, Json};
 use predtop_models::{enumerate_stages, ModelSpec};
+use predtop_store::json::{write_json_file, Json};
 
 struct Cli {
     out: PathBuf,

@@ -8,6 +8,7 @@
 use predtop_bench::grid::{render_table, run_grid};
 use predtop_bench::{platform_scenarios, Protocol};
 use predtop_cluster::Platform;
+use predtop_store::json::write_json_file;
 
 fn main() {
     let proto = Protocol::from_args();
@@ -30,10 +31,9 @@ fn main() {
             model.kind.name().to_lowercase().replace('-', "")
         );
         let path = table.save_json(&name);
-        // the raw grid (with per-cell metadata) feeds fig8_fig9_summary
-        let raw = serde_json::to_string_pretty(&result).expect("serialize grid");
+        // the raw grid keeps the per-cell metadata the table drops
         let raw_path = predtop_bench::table::results_dir().join(format!("{name}_raw.json"));
-        std::fs::write(&raw_path, raw).expect("write raw grid");
+        write_json_file(&raw_path, &result.to_json());
         println!("saved {} and {}", path.display(), raw_path.display());
     }
 }

@@ -12,7 +12,6 @@
 #![warn(missing_docs)]
 
 pub mod grid;
-pub mod jsonout;
 pub mod protocol;
 pub mod scenario;
 pub mod table;

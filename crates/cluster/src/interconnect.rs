@@ -1,9 +1,7 @@
 //! Interconnect links between devices.
 
-use serde::Serialize;
-
 /// A point-to-point or shared communication link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// Human-readable name.
     pub name: &'static str,

@@ -5,7 +5,9 @@
 //! every store-addressable artifact the core layer produces:
 //!
 //! * **plans** ([`encode_plan`] / [`decode_plan`]) — a
-//!   [`PipelinePlan`] with its model spec, exact to the bit;
+//!   [`PipelinePlan`] with its model spec, exact to the bit. The layout
+//!   lives with the plan type in [`predtop_parallel::codec`] (plan
+//!   files and wire replies share it) and is re-exported here;
 //! * **search snapshots** ([`encode_outcome`] / [`decode_outcome`]) —
 //!   the deterministic slice of a [`SearchOutcome`] (plan, latencies as
 //!   raw `f64` bits, query/rejection counts). `search_seconds` and the
@@ -16,9 +18,12 @@
 //!   [`decode_predictor`]) — architecture, target scaler, and every
 //!   weight matrix, sealed with the [`ParamStore`
 //!   fingerprint](predtop_tensor::ParamStore::fingerprint) that decode
-//!   re-verifies against the rebuilt weights.
+//!   re-verifies against the rebuilt weights. These are also the model
+//!   files `predtop fit -o` writes and `predict -m` / `serve -m` read.
 //!
-//! Decoding never panics on arbitrary bytes: malformed input surfaces
+//! Decoding never panics on arbitrary bytes: malformed input — including
+//! an architecture the predictor constructors would refuse, or one wider
+//! or deeper than [`MAX_ARCH_HIDDEN`] / [`MAX_ARCH_LAYERS`] — surfaces
 //! as [`DecodeError`]; a predictor whose restored weights do not hash
 //! back to the stored fingerprint surfaces as
 //! [`ArtifactError::FingerprintMismatch`]. In store-backed flows the
@@ -27,25 +32,29 @@
 //! from the weights it claims to carry.
 
 use predtop_gnn::{ModelKind as PredictorKind, TargetScaler, TrainedPredictor};
+use predtop_parallel::codec::{decode_plan_body, encode_plan_body};
 use predtop_parallel::PipelinePlan;
-use predtop_service::api::{decode_plan_body, encode_plan_body};
 use predtop_store::{ByteReader, ByteWriter, DecodeError};
 use predtop_tensor::Matrix;
 
-// The model layout is shared with the wire protocol's request encoding
-// and now lives in `predtop_service::api`; re-exported here so store
-// payloads keep their historical import path. The bytes are identical.
-pub use predtop_service::api::{decode_model, encode_model};
+pub use predtop_parallel::codec::{decode_plan, encode_plan, PLAN_ENCODING_VERSION};
 
 use crate::predictor::ArchConfig;
 use crate::search::SearchOutcome;
 
-/// Version byte heading every plan encoding.
-pub const PLAN_ENCODING_VERSION: u8 = 1;
 /// Version byte heading every search-snapshot encoding.
 pub const OUTCOME_ENCODING_VERSION: u8 = 1;
 /// Version byte heading every predictor-snapshot encoding.
 pub const PREDICTOR_ENCODING_VERSION: u8 = 1;
+/// Deepest predictor a decoded snapshot may declare (the paper's
+/// deepest is 6 layers). Decoding rebuilds the architecture before it
+/// reads the weights, so this cap and [`MAX_ARCH_HIDDEN`] bound what a
+/// hostile file can make the decoder allocate: ~270 MB (weights plus
+/// gradient buffers) for a DAG Transformer at both caps.
+pub const MAX_ARCH_LAYERS: usize = 16;
+/// Widest predictor a decoded snapshot may declare (the paper's widest
+/// is 256).
+pub const MAX_ARCH_HIDDEN: usize = 512;
 
 /// Failure decoding a typed artifact from store bytes.
 #[derive(Debug)]
@@ -114,30 +123,6 @@ impl From<DecodeError> for ArtifactError {
     fn from(e: DecodeError) -> Self {
         ArtifactError::Decode(e)
     }
-}
-
-/// Encode a plan as a self-contained store payload.
-pub fn encode_plan(plan: &PipelinePlan) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u8(PLAN_ENCODING_VERSION);
-    encode_plan_body(&mut w, plan);
-    w.into_bytes()
-}
-
-/// Decode a payload written by [`encode_plan`]. The round trip is
-/// exact: `decode_plan(&encode_plan(p)) == p` for every plan.
-pub fn decode_plan(bytes: &[u8]) -> Result<PipelinePlan, DecodeError> {
-    let mut r = ByteReader::new(bytes);
-    let version = r.u8("plan version")?;
-    if version != PLAN_ENCODING_VERSION {
-        return Err(DecodeError::UnsupportedVersion {
-            what: "plan",
-            version: version as u64,
-        });
-    }
-    let plan = decode_plan_body(&mut r)?;
-    r.finish()?;
-    Ok(plan)
 }
 
 /// The deterministic slice of a [`SearchOutcome`]: everything that is a
@@ -252,11 +237,27 @@ pub fn decode_arch(r: &mut ByteReader<'_>) -> Result<ArchConfig, DecodeError> {
             })
         }
     };
+    let layers = r.usize("arch layers")?;
+    let hidden = r.usize("arch hidden")?;
+    let heads = r.usize("arch heads")?;
+    let out_of_range = |what, value: usize| DecodeError::OutOfRange {
+        what,
+        value: value as u64,
+    };
+    if !(1..=MAX_ARCH_LAYERS).contains(&layers) {
+        return Err(out_of_range("arch layers (1..=16)", layers));
+    }
+    if !(1..=MAX_ARCH_HIDDEN).contains(&hidden) {
+        return Err(out_of_range("arch hidden (1..=512)", hidden));
+    }
+    if heads == 0 || !hidden.is_multiple_of(heads) {
+        return Err(out_of_range("arch heads (must divide hidden)", heads));
+    }
     Ok(ArchConfig {
         kind,
-        layers: r.usize("arch layers")?,
-        hidden: r.usize("arch hidden")?,
-        heads: r.usize("arch heads")?,
+        layers,
+        hidden,
+        heads,
         use_dagra: r.bool("arch use_dagra")?,
         use_dagpe: r.bool("arch use_dagpe")?,
     })
@@ -310,7 +311,10 @@ pub fn decode_predictor(bytes: &[u8]) -> Result<(ArchConfig, TrainedPredictor), 
     // truth to compare each decoded matrix against (ParamStore::restore
     // asserts on mismatch; this path must error instead)
     let mut model = arch.build(0);
-    let expected = model.store().snapshot();
+    let store = model.store();
+    let expected: Vec<(usize, usize)> = (0..store.len())
+        .map(|pid| (store.value(pid).rows(), store.value(pid).cols()))
+        .collect();
     if expected.len() != num_params {
         return Err(ArtifactError::ShapeMismatch {
             what: "param count",
@@ -319,14 +323,14 @@ pub fn decode_predictor(bytes: &[u8]) -> Result<(ArchConfig, TrainedPredictor), 
         });
     }
     let mut params = Vec::with_capacity(num_params);
-    for slot in &expected {
+    for &(want_rows, want_cols) in &expected {
         let rows = r.usize("param rows")?;
         let cols = r.usize("param cols")?;
-        if rows != slot.rows() || cols != slot.cols() {
+        if (rows, cols) != (want_rows, want_cols) {
             return Err(ArtifactError::ShapeMismatch {
                 what: "param slot shape",
-                expected: slot.rows() * slot.cols(),
-                found: rows * cols,
+                expected: want_rows * want_cols,
+                found: rows.saturating_mul(cols),
             });
         }
         let mut data = Vec::with_capacity(rows * cols);
@@ -393,26 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_round_trip_is_exact() {
-        let plan = sample_plan();
-        let bytes = encode_plan(&plan);
-        assert_eq!(decode_plan(&bytes).unwrap(), plan);
-        // a second encode of the decoded plan is byte-identical
-        assert_eq!(encode_plan(&decode_plan(&bytes).unwrap()), bytes);
-    }
-
-    #[test]
-    fn moe_model_round_trips_with_its_spec() {
-        let m = ModelSpec::moe_2p6b(4);
-        let mut w = ByteWriter::new();
-        encode_model(&mut w, &m);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(decode_model(&mut r).unwrap(), m);
-        r.finish().unwrap();
-    }
-
-    #[test]
     fn outcome_round_trip_preserves_latency_bits() {
         let out = SearchOutcome {
             plan: sample_plan(),
@@ -433,29 +417,6 @@ mod tests {
         );
         assert_eq!(snap.true_latency.to_bits(), out.true_latency.to_bits());
         assert_eq!(snap, SearchSnapshot::of(&out));
-    }
-
-    #[test]
-    fn truncated_and_versioned_payloads_error_cleanly() {
-        let bytes = encode_plan(&sample_plan());
-        for cut in 0..bytes.len() {
-            assert!(decode_plan(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-        let mut wrong = bytes.clone();
-        wrong[0] = 99;
-        assert!(matches!(
-            decode_plan(&wrong),
-            Err(DecodeError::UnsupportedVersion {
-                what: "plan",
-                version: 99
-            })
-        ));
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(matches!(
-            decode_plan(&trailing),
-            Err(DecodeError::TrailingBytes(1))
-        ));
     }
 
     fn trained_predictor() -> (ArchConfig, TrainedPredictor) {
@@ -527,6 +488,67 @@ mod tests {
         // stride to keep the loop fast over the f32-heavy tail
         for cut in (0..bytes.len()).step_by(7) {
             assert!(decode_predictor(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    /// Byte offsets of the architecture's `layers`, `hidden`, and
+    /// `heads` fields: after the version byte and the kind tag.
+    const ARCH_FIELDS: [(&str, usize); 3] = [("layers", 2), ("hidden", 10), ("heads", 18)];
+
+    #[test]
+    fn zero_and_huge_arch_fields_are_decode_errors() {
+        let (arch, predictor) = trained_predictor();
+        let bytes = encode_predictor(&arch, &predictor);
+        assert_eq!(&bytes[2..10], &(arch.layers as u64).to_le_bytes());
+        for (field, at) in ARCH_FIELDS {
+            for bad in [0u64, u64::MAX] {
+                let mut evil = bytes.clone();
+                evil[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+                assert!(
+                    matches!(
+                        decode_predictor(&evil),
+                        Err(ArtifactError::Decode(DecodeError::OutOfRange { value, .. })) if value == bad
+                    ),
+                    "{field} = {bad} must be refused"
+                );
+            }
+        }
+        // just past the caps, and heads that do not divide hidden
+        for (at, bad) in [
+            (2, MAX_ARCH_LAYERS as u64 + 1),
+            (10, MAX_ARCH_HIDDEN as u64 + 1),
+            (18, 3),
+        ] {
+            let mut evil = bytes.clone();
+            evil[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+            assert!(matches!(
+                decode_predictor(&evil),
+                Err(ArtifactError::Decode(DecodeError::OutOfRange { .. }))
+            ));
+        }
+    }
+
+    #[test]
+    fn random_and_mutated_predictor_bytes_never_panic() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let (arch, predictor) = trained_predictor();
+        let valid = encode_predictor(&arch, &predictor);
+        let mut rng = StdRng::seed_from_u64(0x5eed_c0de);
+        for case in 0..600 {
+            let bytes: Vec<u8> = if case % 2 == 0 {
+                (0..rng.gen_range(0..256)).map(|_| rng.gen()).collect()
+            } else {
+                // mutations concentrate on the header, where the
+                // architecture and the shapes live
+                let mut b = valid.clone();
+                let span = if case % 4 == 1 { 64 } else { b.len() };
+                for _ in 0..rng.gen_range(1..4) {
+                    let i = rng.gen_range(0..span);
+                    b[i] = rng.gen();
+                }
+                b
+            };
+            let _ = decode_predictor(&bytes);
         }
     }
 }

@@ -9,6 +9,7 @@ use parking_lot::Mutex;
 use predtop_gnn::train::{train_with_threads, TrainConfig, TrainReport};
 use predtop_gnn::{Dataset, GraphSample, Split, TrainedPredictor};
 use predtop_models::{sample_stages, ModelSpec, StageSpec};
+use predtop_parallel::codec::encode_model;
 use predtop_parallel::interstage::candidate_submeshes;
 use predtop_parallel::{table3_configs, MeshShape, ParallelConfig, StageLatencyProvider};
 use predtop_runtime::par_map;
@@ -230,7 +231,7 @@ pub fn graybox_snapshot_key(
     let mut w = ByteWriter::new();
     w.str(namespace);
     w.str("graybox");
-    artifacts::encode_model(&mut w, &model);
+    encode_model(&mut w, &model);
     w.usize(cluster.nodes);
     w.usize(cluster.gpus_per_node);
     w.usize(cfg.num_profile_stages);

@@ -30,7 +30,6 @@
 pub mod analytic;
 pub mod artifacts;
 pub mod graybox;
-pub mod persist;
 pub mod predictor;
 pub mod search;
 pub mod serve;
@@ -41,7 +40,6 @@ pub use artifacts::{
     ArtifactError, SearchSnapshot,
 };
 pub use graybox::{decode_graybox, encode_graybox, graybox_snapshot_key, GrayBoxConfig, PredTop};
-pub use persist::{load_from_file, save_to_file, SavedPredictor};
 pub use predictor::ArchConfig;
 pub use predtop_parallel::plan::pipeline_latency;
 pub use search::{

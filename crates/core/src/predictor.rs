@@ -8,10 +8,9 @@
 
 use predtop_gnn::dag_transformer::TransformerConfig;
 use predtop_gnn::{DagTransformer, Gat, Gcn, GnnModel, ModelKind};
-use serde::{Deserialize, Serialize};
 
 /// Architecture hyper-parameters for one predictor instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArchConfig {
     /// Which architecture.
     pub kind: ModelKind,

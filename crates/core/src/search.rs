@@ -15,6 +15,7 @@ use std::time::Instant;
 
 use predtop_analyze::StaticLegality;
 use predtop_models::{ModelSpec, StageSpec};
+use predtop_parallel::codec::encode_model;
 use predtop_parallel::{
     enumerate_candidates, solve_pipeline, CacheStats, EvaluatedCandidate, InterStageOptions,
     MeshShape, ParallelConfig, PipelinePlan,
@@ -303,7 +304,7 @@ pub fn search_snapshot_key(
     let mut w = ByteWriter::new();
     w.str(namespace);
     w.str("search");
-    artifacts::encode_model(&mut w, &model);
+    encode_model(&mut w, &model);
     w.usize(cluster.nodes);
     w.usize(cluster.gpus_per_node);
     w.usize(opts.microbatches);

@@ -41,7 +41,7 @@ use predtop_store::hash::digest_bytes;
 use predtop_store::Store;
 
 use crate::analytic::AnalyticBaseline;
-use crate::persist;
+use crate::artifacts::decode_predictor;
 use crate::search::{persist_search_snapshots, search_legality, search_plan_service};
 
 /// Everything that shapes one serving engine: the platform and seed the
@@ -137,12 +137,12 @@ impl LatencyService for SavedModelService {
 /// baseline answers instead of the command aborting).
 pub fn load_model_service(path: &str) -> Box<dyn LatencyService + Send + Sync> {
     let attempt = || -> Result<SavedModelService, String> {
-        let body = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-        let saved: persist::SavedPredictor =
-            serde_json::from_str(&body).map_err(|e| e.to_string())?;
-        let pe_dim = saved.arch.pe_dim();
-        let predictor = persist::restore(&saved).map_err(|e| e.to_string())?;
-        Ok(SavedModelService { predictor, pe_dim })
+        let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
+        let (arch, predictor) = decode_predictor(&bytes).map_err(|e| e.to_string())?;
+        Ok(SavedModelService {
+            predictor,
+            pe_dim: arch.pe_dim(),
+        })
     };
     match attempt() {
         Ok(svc) => Box::new(svc),
@@ -471,7 +471,7 @@ fn error_body(e: &ServiceError) -> ErrorBody {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use predtop_models::ModelSpec;
+    use predtop_models::{ModelSpec, StageSpec};
     use predtop_parallel::ParallelConfig;
     use predtop_service::api;
 
@@ -487,6 +487,33 @@ mod tests {
 
     fn tiny_engine() -> ServeEngine {
         ServeEngine::new(EngineConfig::new(Platform::platform1(), "1", 7)).unwrap()
+    }
+
+    #[test]
+    fn a_model_file_that_fails_to_load_feeds_the_fallback_chain() {
+        use predtop_parallel::StageLatencyProvider;
+        // missing, undecodable, or sealed-wrong files all load as the
+        // same named `Unavailable`...
+        let broken = load_model_service("/nonexistent/predtop-model.bin");
+        // ...which slots into the predictor → analytic chain instead of
+        // aborting the caller
+        let analytic = AnalyticBaseline::new(Platform::platform1());
+        let stack = ServiceBuilder::new(broken)
+            .or_fallback_to(&analytic)
+            .finish();
+        let stage = StageSpec::new(tiny_model(), 0, 2);
+        let q = LatencyQuery::new(stage, MeshShape::new(1, 1), ParallelConfig::SERIAL);
+        let reply = stack.query(&q).expect("the fallback absorbs the failure");
+        assert_eq!(reply.source, "analytic");
+        assert_eq!(
+            reply.seconds.to_bits(),
+            analytic
+                .stage_latency(&stage, MeshShape::new(1, 1), ParallelConfig::SERIAL)
+                .to_bits()
+        );
+        let fb = stack.handles().fallback.clone().expect("fallback handle");
+        assert_eq!(fb.stats().primary_served, 0);
+        assert_eq!(fb.stats().fallback_served, 1);
     }
 
     #[test]

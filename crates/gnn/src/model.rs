@@ -8,12 +8,11 @@
 
 use predtop_tensor::{xavier_uniform, Matrix, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::{GraphSample, TargetScaler};
 
 /// Which architecture a model instantiates (display / table labels).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Graph convolutional network baseline (6 × 256).
     Gcn,

@@ -74,7 +74,7 @@ fn env_thread_count_does_not_change_trained_weights() {
     );
 
     // Belt and braces beyond the fingerprint: compare every parameter's
-    // exact bit pattern, then the serialized forms byte for byte.
+    // exact bit pattern.
     let (a, b) = (serial.store(), parallel.store());
     assert_eq!(a.len(), b.len());
     for pid in 0..a.len() {
@@ -88,7 +88,4 @@ fn env_thread_count_does_not_change_trained_weights() {
             );
         }
     }
-    let ser_a = serde_json::to_string(a).expect("serialize store");
-    let ser_b = serde_json::to_string(b).expect("serialize store");
-    assert_eq!(ser_a, ser_b, "serialized parameter stores differ");
 }

@@ -11,15 +11,13 @@
 //!    output tensor; Table I node features are derivable from a node alone
 //!    plus its kind.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dtype::DType;
 use crate::error::IrError;
 use crate::op::OpKind;
 use crate::shape::Shape;
 
 /// Dense index of a node within its graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -33,7 +31,7 @@ impl NodeId {
 /// The four node categories of Table I ("Node Type" one-hot): graph
 /// inputs, literals (compile-time constants), tensor operators, and graph
 /// outputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// A stage input (activation arriving from the previous stage, a
     /// parameter, or a data batch).
@@ -77,7 +75,7 @@ impl NodeKind {
 /// These are *not* part of the predictor's feature vector (Table I lists
 /// only op type, output dims, dtype, and node type) — they exist so the
 /// ground-truth simulator can compute FLOPs exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Attrs {
     /// For `dot_general`: product of the contracted dimension sizes
     /// (the `k` in an `m×k · k×n` matmul). Zero for other ops.
@@ -88,7 +86,7 @@ pub struct Attrs {
 }
 
 /// One node of the operator DAG.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// This node's id (equal to its index in [`Graph::nodes`]).
     pub id: NodeId,
@@ -113,7 +111,7 @@ impl Node {
 }
 
 /// An immutable operator DAG with precomputed successor lists.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     nodes: Vec<Node>,
     succs: Vec<Vec<NodeId>>,

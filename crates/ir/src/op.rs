@@ -16,11 +16,9 @@
 //! * [`OpKind::compute_class`] — coarse roofline class used by the
 //!   simulator's per-operator cost model.
 
-use serde::{Deserialize, Serialize};
-
 /// Coarse computational class of an operator, used by the simulator to
 /// pick a roofline regime (peak-FLOP bound vs memory-bandwidth bound).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComputeClass {
     /// Dense contractions (`dot_general`): tensor-core / FMA bound.
     Contraction,
@@ -38,7 +36,7 @@ pub enum ComputeClass {
 }
 
 /// Tensor-level operator kinds (the jaxpr primitive catalog).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)] // variant names mirror jaxpr primitive spellings
 pub enum OpKind {
     // -- contractions --

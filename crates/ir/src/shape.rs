@@ -6,8 +6,6 @@
 //! stage graphs have thousands of nodes and are built in bulk by the
 //! experiment sweeps.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dtype::DType;
 
 /// Maximum tensor rank representable (and the number of log-scaled
@@ -17,7 +15,7 @@ pub const MAX_RANK: usize = 6;
 /// A tensor shape: up to [`MAX_RANK`] dimensions stored inline.
 ///
 /// A rank-0 shape is a scalar (one element).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: [u32; MAX_RANK],
     rank: u8,

@@ -1,9 +1,7 @@
 //! Benchmark model specifications (Table IV).
 
-use serde::{Deserialize, Serialize};
-
 /// Which benchmark a spec instantiates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// GPT-3-style dense decoder stack.
     Gpt3,
@@ -22,7 +20,7 @@ impl ModelKind {
 }
 
 /// MoE-specific hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MoeSpec {
     /// Number of experts (Table IV: 16).
     pub num_experts: usize,
@@ -34,7 +32,7 @@ pub struct MoeSpec {
 }
 
 /// Hyper-parameters of one benchmark model (Table IV).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ModelSpec {
     /// Benchmark identity.
     pub kind: ModelKind,

@@ -9,7 +9,6 @@
 
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use predtop_ir::Graph;
 
@@ -17,7 +16,7 @@ use crate::layers::{Emitter, ACT};
 use crate::spec::ModelSpec;
 
 /// A pipeline-stage candidate: layers `start..end` of `model`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StageSpec {
     /// Model the stage is sliced from.
     pub model: ModelSpec,

@@ -1,13 +1,11 @@
 //! Intra-stage parallelism configurations (Table III) and sub-mesh
 //! shapes.
 
-use serde::{Deserialize, Serialize};
-
 /// Shape of a (sub-)mesh: `nodes × gpus_per_node`. A plain value type so
 /// plan search can enumerate shapes without dragging GPU specs around;
 //  instantiate a concrete `predtop_cluster::Mesh` from a `Platform` when
 //  costing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MeshShape {
     /// Host nodes in the sub-mesh.
     pub nodes: usize,
@@ -50,7 +48,7 @@ impl MeshShape {
 /// One intra-stage parallelism configuration: `dp`-way data parallelism
 /// combined with `mp`-way model/tensor parallelism; `dp · mp` equals the
 /// device count of the mesh the stage runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParallelConfig {
     /// Data-parallel degree (batch axis replication).
     pub dp: usize,

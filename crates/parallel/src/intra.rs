@@ -23,7 +23,6 @@
 
 use predtop_cluster::collective::Collective;
 use predtop_ir::{Graph, Node, NodeKind, OpKind};
-use serde::Serialize;
 
 use crate::config::{MeshShape, ParallelConfig};
 use crate::sharding::Sharding;
@@ -48,7 +47,7 @@ pub trait OpCost {
 
 /// Result of intra-stage optimization: the chosen strategy per node and
 /// the cost breakdown.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct IntraPlan {
     /// Configuration the plan was optimized for.
     pub config: ParallelConfig,

@@ -27,6 +27,8 @@
 //!   query identity.
 //! * [`plan`] — end-to-end pipeline plans and the Eqn. 4 white-box
 //!   formula `T = Σ tᵢ + (B−1)·max tⱼ`.
+//! * [`codec`] — the canonical byte encoding of model specs and plans,
+//!   shared by plan files, store artifacts, and wire replies.
 //!
 //! The [`StageLatencyProvider`] trait is the gray-box seam of the whole
 //! system: the inter-stage optimizer only needs *some* source of stage
@@ -37,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod codec;
 pub mod config;
 pub mod intern;
 pub mod interstage;

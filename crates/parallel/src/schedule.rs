@@ -9,10 +9,8 @@
 //! forward/backward slot times — the executable counterpart of the
 //! closed-form Eqn. 4.
 
-use serde::Serialize;
-
 /// One work item in a stage's timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Slot {
     /// Forward pass of micro-batch `i`.
     Forward(usize),
@@ -21,7 +19,7 @@ pub enum Slot {
 }
 
 /// The 1F1B schedule: `timeline[s]` is stage `s`'s ordered work list.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     /// Per-stage ordered slots.
     pub timeline: Vec<Vec<Slot>>,
@@ -272,7 +270,7 @@ impl Schedule {
 }
 
 /// One executed slot with its simulated start/finish times.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlotSpan {
     /// The work item.
     pub slot: Slot,

@@ -9,11 +9,10 @@
 //! collective priced by the cluster model.
 
 use predtop_cluster::collective::Collective;
-use serde::Serialize;
 
 /// How an operator's *output* tensor is laid out across the `mp` devices
 /// of its group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sharding {
     /// Full copy on every device.
     Replicated,

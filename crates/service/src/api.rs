@@ -9,9 +9,9 @@
 //! a prediction, or a stats snapshot.
 //!
 //! Encodings follow the canonical little-endian style of
-//! `predtop-core::artifacts` (which now delegates its model/plan
-//! layouts to this module so store payloads and wire frames can never
-//! disagree): a leading version byte, one-byte enum tags, fixed-width
+//! `predtop_parallel::codec`, whose model and plan layouts the frames
+//! embed, so store payloads, plan files, and wire frames can never
+//! disagree: a leading version byte, one-byte enum tags, fixed-width
 //! integers, IEEE-754 bit patterns for floats, and length-prefixed
 //! strings. Decoding never panics: malformed bytes surface as
 //! [`DecodeError`], and both decoders reject trailing bytes, unknown
@@ -20,126 +20,18 @@
 //! a v1 decoder refuses v2 loudly instead of misreading it).
 
 use crate::ledger::{Ledger, LedgerValue};
-use predtop_models::{ModelKind, ModelSpec, MoeSpec, StageSpec};
-use predtop_parallel::{MeshShape, ParallelConfig, PipelinePlan, PlannedStage};
+use predtop_models::{ModelSpec, StageSpec};
+use predtop_parallel::codec::{
+    decode_model, decode_placement, decode_plan_body, encode_model, encode_placement,
+    encode_plan_body,
+};
+use predtop_parallel::{MeshShape, ParallelConfig, PipelinePlan};
 use predtop_store::{ByteReader, ByteWriter, DecodeError};
 
 /// Version byte heading every encoded [`Request`].
 pub const REQUEST_ENCODING_VERSION: u8 = 1;
 /// Version byte heading every encoded [`Response`].
 pub const RESPONSE_ENCODING_VERSION: u8 = 1;
-
-/// Append `m`'s canonical encoding to `w`. Stable across runs: a pure
-/// function of the spec's fields. This is the one model layout in the
-/// workspace — store artifacts and wire frames both use it.
-pub fn encode_model(w: &mut ByteWriter, m: &ModelSpec) {
-    w.u8(match m.kind {
-        ModelKind::Gpt3 => 1,
-        ModelKind::Moe => 2,
-    });
-    w.usize(m.batch);
-    w.usize(m.seq_len);
-    w.usize(m.hidden);
-    w.usize(m.num_layers);
-    w.usize(m.num_heads);
-    w.usize(m.vocab);
-    w.usize(m.ffn_mult);
-    match &m.moe {
-        None => w.u8(0),
-        Some(moe) => {
-            w.u8(1);
-            w.usize(moe.num_experts);
-            w.usize(moe.expert_hidden);
-            w.usize(moe.every);
-        }
-    }
-}
-
-/// Decode a model spec written by [`encode_model`].
-pub fn decode_model(r: &mut ByteReader<'_>) -> Result<ModelSpec, DecodeError> {
-    let kind = match r.u8("model kind")? {
-        1 => ModelKind::Gpt3,
-        2 => ModelKind::Moe,
-        tag => {
-            return Err(DecodeError::BadTag {
-                what: "model kind",
-                tag: tag as u64,
-            })
-        }
-    };
-    let batch = r.usize("model batch")?;
-    let seq_len = r.usize("model seq_len")?;
-    let hidden = r.usize("model hidden")?;
-    let num_layers = r.usize("model num_layers")?;
-    let num_heads = r.usize("model num_heads")?;
-    let vocab = r.usize("model vocab")?;
-    let ffn_mult = r.usize("model ffn_mult")?;
-    let moe = match r.u8("moe tag")? {
-        0 => None,
-        1 => Some(MoeSpec {
-            num_experts: r.usize("moe num_experts")?,
-            expert_hidden: r.usize("moe expert_hidden")?,
-            every: r.usize("moe every")?,
-        }),
-        tag => {
-            return Err(DecodeError::BadTag {
-                what: "moe tag",
-                tag: tag as u64,
-            })
-        }
-    };
-    Ok(ModelSpec {
-        kind,
-        batch,
-        seq_len,
-        hidden,
-        num_layers,
-        num_heads,
-        vocab,
-        ffn_mult,
-        moe,
-    })
-}
-
-/// Append `plan`'s canonical (unversioned) body to `w` — the shared
-/// layout behind both the store's plan artifact and the wire's search
-/// reply.
-pub fn encode_plan_body(w: &mut ByteWriter, plan: &PipelinePlan) {
-    w.usize(plan.microbatches);
-    w.usize(plan.stages.len());
-    for ps in &plan.stages {
-        encode_model(w, &ps.stage.model);
-        w.usize(ps.stage.start);
-        w.usize(ps.stage.end);
-        w.usize(ps.mesh.nodes);
-        w.usize(ps.mesh.gpus_per_node);
-        w.usize(ps.config.dp);
-        w.usize(ps.config.mp);
-    }
-}
-
-/// Decode a plan body written by [`encode_plan_body`].
-pub fn decode_plan_body(r: &mut ByteReader<'_>) -> Result<PipelinePlan, DecodeError> {
-    let microbatches = r.usize("plan microbatches")?;
-    let num_stages = r.usize("plan stage count")?;
-    let mut stages = Vec::new();
-    for _ in 0..num_stages {
-        let model = decode_model(r)?;
-        let start = r.usize("stage start")?;
-        let end = r.usize("stage end")?;
-        let mesh = MeshShape::new(r.usize("stage mesh nodes")?, r.usize("stage mesh gpus")?);
-        let config = ParallelConfig::new(r.usize("stage dp")?, r.usize("stage mp")?);
-        stages.push(PlannedStage {
-            stage: StageSpec { model, start, end },
-            mesh,
-            config,
-        });
-    }
-    Ok(PipelinePlan {
-        stages,
-        microbatches,
-    })
-}
 
 /// One stage-latency question: a layer window of a model on a mesh
 /// under a parallel config. Used verbatim by `Profile` (ask the
@@ -320,21 +212,14 @@ fn encode_profile_spec(w: &mut ByteWriter, p: &ProfileSpec) {
     encode_model(w, &p.model);
     w.usize(p.start);
     w.usize(p.end);
-    w.usize(p.mesh.nodes);
-    w.usize(p.mesh.gpus_per_node);
-    w.usize(p.config.dp);
-    w.usize(p.config.mp);
+    encode_placement(w, p.mesh, p.config);
 }
 
 fn decode_profile_spec(r: &mut ByteReader<'_>) -> Result<ProfileSpec, DecodeError> {
     let model = decode_model(r)?;
     let start = r.usize("profile start")?;
     let end = r.usize("profile end")?;
-    let mesh = MeshShape::new(
-        r.usize("profile mesh nodes")?,
-        r.usize("profile mesh gpus")?,
-    );
-    let config = ParallelConfig::new(r.usize("profile dp")?, r.usize("profile mp")?);
+    let (mesh, config) = decode_placement(r)?;
     Ok(ProfileSpec {
         model,
         start,
@@ -567,6 +452,7 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use predtop_parallel::PlannedStage;
 
     fn tiny_model() -> ModelSpec {
         let mut s = ModelSpec::gpt3_1p3b(2);

@@ -1,14 +1,14 @@
 //! Canonical little-endian byte encodings.
 //!
-//! The vendored `serde_json` stand-in cannot round-trip data offline,
-//! and JSON would not give byte-stable payloads anyway (float
-//! formatting, key order). Store keys and payloads therefore use a
-//! tiny hand-rolled binary format: fixed-width little-endian integers,
-//! IEEE-754 bit patterns for floats, `u64` length prefixes for
-//! variable-size data, and one-byte tags for options/enums. Writers
-//! and readers in the owning crates compose these primitives; the
-//! reader is bounds-checked and returns structured [`DecodeError`]s so
-//! a truncated or bit-flipped object never panics.
+//! JSON would not give byte-stable payloads (float formatting, key
+//! order), so store keys, store payloads, wire frames, and the model
+//! and plan files the CLI writes all use a tiny hand-rolled binary
+//! format: fixed-width little-endian integers, IEEE-754 bit patterns
+//! for floats, `u64` length prefixes for variable-size data, and
+//! one-byte tags for options/enums. Writers and readers in the owning
+//! crates compose these primitives; the reader is bounds-checked and
+//! returns structured [`DecodeError`]s so a truncated or bit-flipped
+//! object never panics.
 
 /// Structured decode failure for canonical byte payloads.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,6 +40,14 @@ pub enum DecodeError {
     },
     /// A length-prefixed string was not valid UTF-8.
     BadUtf8,
+    /// A field decoded cleanly but holds a value its type cannot take
+    /// (a zero mesh degree, a width above the decoder's cap, ...).
+    OutOfRange {
+        /// The field and the range it must lie in.
+        what: &'static str,
+        /// The offending value.
+        value: u64,
+    },
 }
 
 impl std::fmt::Display for DecodeError {
@@ -57,6 +65,9 @@ impl std::fmt::Display for DecodeError {
                 write!(f, "unsupported {what} version {version}")
             }
             DecodeError::BadUtf8 => write!(f, "length-prefixed string is not UTF-8"),
+            DecodeError::OutOfRange { what, value } => {
+                write!(f, "{what} out of range: {value}")
+            }
         }
     }
 }

@@ -1,11 +1,14 @@
-//! Minimal hand-rolled JSON for machine-readable benchmark artifacts.
+//! The workspace's one JSON writer.
 //!
-//! `bench_predictor` and `search_scaling` emit stable-schema JSON files
-//! (`BENCH_predictor.json`, `BENCH_search.json`) that CI and dashboards
-//! parse by field name. The writer is a small ordered object builder:
-//! fields render exactly in insertion order, so the schema is spelled
-//! out at the emit site rather than derived from struct layout, and a
-//! diff of two artifacts lines up field by field.
+//! Every JSON file the workspace emits goes through [`Json`]: the
+//! benchmark artifacts (`BENCH_*.json`), the experiment tables under
+//! `results/`, and Chrome-trace exports. The writer is a small ordered
+//! object builder: fields render exactly in insertion order, so the
+//! schema is spelled out at the emit site rather than derived from
+//! struct layout, and a diff of two files lines up field by field.
+//! There is deliberately no parser: models and plans persist in the
+//! canonical byte encodings ([`crate::encode`]), so nothing in the
+//! workspace reads JSON back.
 
 use std::fmt::Write as _;
 use std::path::Path;

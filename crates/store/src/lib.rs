@@ -38,12 +38,14 @@
 //!   bottom of the workspace graph and re-export [`hash`] from here, so
 //!   this crate uses nothing above libstd. Typed encodings for the
 //!   object kinds live in the crates that own the types; this crate
-//!   moves verified bytes.
+//!   moves verified bytes and provides the byte codec primitives
+//!   ([`encode`]) and the JSON writer ([`json`]) they build on.
 
 #![warn(missing_docs)]
 
 pub mod encode;
 pub mod hash;
+pub mod json;
 pub mod lock;
 mod odb;
 

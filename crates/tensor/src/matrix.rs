@@ -25,8 +25,6 @@
 //! the same serial driver, so results stay bit-identical at any thread
 //! count.
 
-use serde::{Deserialize, Serialize};
-
 use crate::kernel::{self, Variant};
 
 /// Minimum multiply-add count (`m·k·n`) before a kernel fans output
@@ -34,7 +32,7 @@ use crate::kernel::{self, Variant};
 const PAR_MIN_MULADDS: usize = 1 << 20;
 
 /// A dense row-major `rows × cols` matrix of f32.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -2,16 +2,12 @@
 
 use std::process::Command;
 
+use predtop::prelude::*;
+use predtop::service::{LatencyQuery, LatencyService};
+use predtop::store::ByteWriter;
+
 fn predtop() -> Command {
     Command::new(env!("CARGO_BIN_EXE_predtop"))
-}
-
-/// Whether the ambient `serde_json` can actually deserialize. Under the
-/// offline stub (sandboxed builds) every saved model file is a
-/// placeholder that cannot be loaded back, so `predict` legitimately
-/// degrades to the analytic fallback.
-fn json_roundtrip_supported() -> bool {
-    serde_json::from_str::<u32>("1").is_ok()
 }
 
 #[test]
@@ -71,7 +67,8 @@ commands:
   info                       list platforms, meshes, and benchmarks
   profile                    simulate one stage's training latency
   search                     optimize a full pipeline plan
-  fit -o FILE                fit a DAG-Transformer predictor, save JSON
+  fit -o FILE                fit a DAG-Transformer predictor and save
+                             it (predict -m / serve -m load it)
   predict -m FILE            predict a stage latency with a saved model
                              (falls back to the analytic baseline if the
                              model cannot be loaded; see `source = ...`)
@@ -92,7 +89,9 @@ options:
   --microbatches B           pipeline micro-batches (default 8)
   --threads T                (search/serve) evaluation worker threads
   --format text|json         output format (default text)
-  --plan-out FILE            (search) write the chosen plan as JSON
+  --plan-out FILE            (search) write the chosen plan in its
+                             canonical byte encoding (predtop-lint
+                             --plan reads it)
   --store DIR                persist latency replies and plan/outcome
                              snapshots in a content-addressed object
                              store at DIR, so a second identical run
@@ -158,7 +157,7 @@ fn every_subcommand_answers_help_with_exit_zero() {
 
 #[test]
 fn fit_then_predict_roundtrip() {
-    let model_path = std::env::temp_dir().join("predtop_cli_test_model.json");
+    let model_path = std::env::temp_dir().join("predtop_cli_test_model.bin");
     let _ = std::fs::remove_file(&model_path);
     let out = predtop()
         .args([
@@ -200,15 +199,76 @@ fn fit_then_predict_roundtrip() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("predicted latency"), "{text}");
-    // fallback attribution: a loadable model answers as the predictor;
-    // when the environment cannot round-trip JSON the chain degrades to
-    // the analytic baseline — and says so
-    if json_roundtrip_supported() {
-        assert!(text.contains("source = predictor"), "{text}");
-    } else {
-        assert!(text.contains("source = analytic"), "{text}");
-    }
+    // the saved model loads and answers as the predictor
+    assert!(text.contains("source = predictor"), "{text}");
+
+    // the CLI's answer is the one the decoded model gives in-process
+    let out = predtop()
+        .args([
+            "predict", "--scaled", "--stage", "1..3", "--format", "json", "-m",
+        ])
+        .arg(&model_path)
+        .output()
+        .expect("run predtop predict --format json");
+    assert!(out.status.success());
+    let json = String::from_utf8_lossy(&out.stdout);
+    let (mesh, config) = (MeshShape::new(1, 1), ParallelConfig::SERIAL);
+    let q = LatencyQuery::new(StageSpec::new(scaled_gpt3(), 1, 3), mesh, config);
+    let reply = load_model_service(model_path.to_str().unwrap())
+        .query(&q)
+        .expect("the saved model answers in-process");
+    assert_eq!(reply.source, "predictor");
+    assert!(
+        json.contains(&format!("\"latency_s\":{:.9},", reply.seconds)),
+        "{json} vs {}",
+        reply.seconds
+    );
     std::fs::remove_file(model_path).ok();
+}
+
+/// The model `--scaled` selects (GPT-3 at batch 2, shrunk).
+fn scaled_gpt3() -> ModelSpec {
+    let mut m = ModelSpec::gpt3_1p3b(2);
+    m.seq_len = 128;
+    m.hidden = 128;
+    m.num_heads = 8;
+    m.vocab = 2048;
+    m.num_layers = 8;
+    m
+}
+
+#[test]
+fn predict_with_a_zero_layer_model_falls_back_to_analytic() {
+    // a well-formed predictor header declaring an impossible zero-layer
+    // architecture: decoding refuses it instead of panicking in the
+    // model constructor, and the fallback chain answers
+    let mut arch = ArchConfig::scaled(ModelKind::DagTransformer);
+    arch.layers = 0;
+    let mut w = ByteWriter::new();
+    w.u8(predtop::core::artifacts::PREDICTOR_ENCODING_VERSION);
+    predtop::core::artifacts::encode_arch(&mut w, &arch);
+    w.f64_bits(0.0); // scaler mean
+    w.f64_bits(1.0); // scaler std
+    w.u64(0); // fingerprint
+    w.usize(0); // parameter count
+    let model_path = std::env::temp_dir().join("predtop_cli_test_zero_layers.bin");
+    std::fs::write(&model_path, w.into_bytes()).unwrap();
+    let out = predtop()
+        .args(["predict", "--scaled", "--stage", "1..3", "-m"])
+        .arg(&model_path)
+        .output()
+        .expect("run predtop predict");
+    std::fs::remove_file(&model_path).ok();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("source = analytic"), "{text}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("model load failed"), "{stderr}");
+    assert!(stderr.contains("arch layers"), "{stderr}");
 }
 
 #[test]
@@ -647,7 +707,7 @@ fn store_command_requires_an_action_and_a_directory() {
 
 #[test]
 fn search_plan_out_writes_a_plan_file() {
-    let plan_path = std::env::temp_dir().join("predtop_cli_test_plan.json");
+    let plan_path = std::env::temp_dir().join("predtop_cli_test_plan.plan");
     let _ = std::fs::remove_file(&plan_path);
     let out = predtop()
         .args([
@@ -667,12 +727,9 @@ fn search_plan_out_writes_a_plan_file() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let body = std::fs::read_to_string(&plan_path).expect("plan file written");
-    assert!(!body.is_empty());
-    if json_roundtrip_supported() {
-        let plan: predtop::parallel::PipelinePlan =
-            serde_json::from_str(&body).expect("plan file parses back");
-        assert!(!plan.stages.is_empty());
-    }
+    let bytes = std::fs::read(&plan_path).expect("plan file written");
+    let plan = predtop::parallel::codec::decode_plan(&bytes).expect("plan file decodes");
+    assert!(!plan.stages.is_empty());
+    assert!(plan.microbatches == 4, "{plan:?}");
     std::fs::remove_file(plan_path).ok();
 }
