@@ -22,6 +22,15 @@
 //! * `inference` — mean per-query latency of the trained predictor and
 //!   the serve-tape buffer-pool hit rate (must be positive: a zero hit
 //!   rate means a tape op regressed to per-call allocation).
+//! * `predictor_search` — wall-clock of a cold predictor-driven plan
+//!   search (a fitted `PredTop` on Platform 2's 2×2 cluster) with a
+//!   search pool of 1 vs the parallel worker count, the predictor
+//!   forwards each run issued (must equal the distinct (stage,
+//!   scenario) queries of the work-list), and whether both runs chose
+//!   the bit-identical plan and estimate (`plans_identical` must be
+//!   `true`).
+//! * `host` / `command` — `nproc`, the active GEMM ISA, and the exact
+//!   command line of the run.
 //!
 //! ```sh
 //! cargo run --release --bin bench_predictor              # full protocol
@@ -31,15 +40,22 @@
 //!
 //! Exits non-zero when any determinism check fails.
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::time::Instant;
 
 use predtop_bench::Protocol;
 use predtop_cluster::Platform;
+use predtop_core::{
+    decode_graybox, encode_graybox, encode_plan, run_search, ArchConfig, GrayBoxConfig, PredTop,
+    SearchRequest,
+};
 use predtop_gnn::train::train_with_threads;
 use predtop_gnn::{with_serve_tape, Dataset, GraphSample, ModelKind, TrainedPredictor};
-use predtop_models::sample_stages;
-use predtop_parallel::{MeshShape, ParallelConfig, StageLatencyProvider};
+use predtop_models::{sample_stages, ModelSpec};
+use predtop_parallel::{
+    enumerate_candidates, InterStageOptions, MeshShape, ParallelConfig, StageLatencyProvider,
+};
 use predtop_runtime::configured_threads;
 use predtop_sim::SimProfiler;
 use predtop_store::json::{hex_u64, write_json_file, Json};
@@ -192,6 +208,105 @@ fn kernel_section(sizes: &[usize], reps: usize, failures: &mut Vec<String>) -> (
     (Json::Arr(rows), Json::Arr(summary))
 }
 
+/// The predictor-driven search the `predictor_search` section times: a
+/// `--scaled`-width GPT-3 (5 layers, batch 4) on Platform 2's 2×2
+/// cluster, priced by a PredTOP fit that profiled all twelve stages of
+/// up to three layers (so the search's longer stages are predicted
+/// only). The smoke run trains for fewer epochs.
+fn predictor_search_section(
+    smoke: bool,
+    reps: usize,
+    parallel_threads: usize,
+    failures: &mut Vec<String>,
+) -> Json {
+    let layers = 5;
+    let mut model = ModelSpec::gpt3_1p3b(4);
+    model.seq_len = 128;
+    model.hidden = 128;
+    model.num_heads = 8;
+    model.vocab = 2048;
+    model.num_layers = layers;
+    let platform = Platform::platform2();
+    let cluster = MeshShape::new(platform.max_nodes, platform.gpus_per_node);
+    let opts = InterStageOptions {
+        microbatches: 2,
+        imbalance_tolerance: None,
+    };
+    let mut arch = ArchConfig::scaled(ModelKind::DagTransformer);
+    arch.layers = 2;
+    arch.hidden = 32;
+    let cfg = GrayBoxConfig {
+        num_profile_stages: 12,
+        max_stage_layers: 3,
+        arch,
+        train: predtop_gnn::TrainConfig::quick(if smoke { 2 } else { 4 }),
+        seed: 7,
+    };
+    let profiler = SimProfiler::new(platform, 7);
+    eprintln!("[predictor_search] fitting PredTOP on a {layers}-layer GPT-3, 2x2 cluster");
+    let snapshot = encode_graybox(&PredTop::fit(model, cluster, &profiler, &cfg), &cfg);
+    let distinct = enumerate_candidates(model, cluster, opts)
+        .into_iter()
+        .collect::<HashSet<_>>()
+        .len();
+
+    // best-of-`reps` cold searches (a fresh instance per rep, so every
+    // forward runs), with the last rep's plan, estimate and forwards
+    let run = |threads: usize| {
+        let mut best = f64::INFINITY;
+        let mut last = None;
+        for _ in 0..reps {
+            let pt = decode_graybox(&snapshot, &cfg).expect("a fresh snapshot decodes");
+            let req = SearchRequest::new(model, cluster, opts).threads(threads);
+            let t = Instant::now();
+            let out = run_search(&req, &pt, &profiler).expect("every scenario was fitted");
+            best = best.min(t.elapsed().as_secs_f64());
+            last = Some((
+                encode_plan(&out.plan),
+                out.estimated_latency.to_bits(),
+                pt.forwards_issued(),
+                out.num_queries,
+            ));
+        }
+        let (plan, estimate, forwards, queries) = last.expect("reps >= 1");
+        eprintln!(
+            "[predictor_search] {threads} thread(s): {best:.3}s, {forwards} forwards for {queries} queries"
+        );
+        (best, plan, estimate, forwards, queries)
+    };
+    let (serial_s, serial_plan, serial_est, serial_forwards, queries) = run(1);
+    let (parallel_s, parallel_plan, parallel_est, parallel_forwards, _) = run(parallel_threads);
+    let plans_identical = serial_plan == parallel_plan && serial_est == parallel_est;
+    if !plans_identical {
+        failures.push(format!(
+            "predictor-driven search chose a different plan at {parallel_threads} threads than at 1"
+        ));
+    }
+    for (threads, forwards) in [(1, serial_forwards), (parallel_threads, parallel_forwards)] {
+        if forwards != distinct {
+            failures.push(format!(
+                "predictor search at {threads} thread(s) ran {forwards} forwards for {distinct} distinct queries"
+            ));
+        }
+    }
+    let speedup = serial_s / parallel_s;
+    eprintln!("[predictor_search] speedup {speedup:.2}x, plans identical: {plans_identical}");
+    Json::obj()
+        .field("model", "gpt3-scaled")
+        .field("layers", layers)
+        .field("cluster", cluster.label())
+        .field("microbatches", opts.microbatches)
+        .field("queries", queries)
+        .field("distinct_queries", distinct)
+        .field("serial_seconds", serial_s)
+        .field("serial_forwards", serial_forwards)
+        .field("parallel_threads", parallel_threads)
+        .field("parallel_seconds", parallel_s)
+        .field("parallel_forwards", parallel_forwards)
+        .field("speedup", speedup)
+        .field("plans_identical", plans_identical)
+}
+
 fn main() {
     let args = parse_args();
     let parallel_threads = configured_threads().max(4);
@@ -334,11 +449,22 @@ fn main() {
         .field("pool_misses", pool.misses)
         .field("pool_hit_rate", hit_rate);
 
+    // --- predictor-driven plan search, 1 thread vs N ----------------
+    let predictor_search =
+        predictor_search_section(args.smoke, reps, parallel_threads, &mut failures);
+
     // --- artifact ---------------------------------------------------
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let command: Vec<String> = std::env::args().collect();
     let doc = Json::obj()
-        .field("schema_version", 2u64)
+        .field("schema_version", 3u64)
         .field("benchmark", "bench_predictor")
         .field("smoke", args.smoke)
+        .field(
+            "host",
+            Json::obj().field("nproc", nproc).field("isa", isa.name()),
+        )
+        .field("command", command.join(" "))
         .field("threads", parallel_threads)
         .field(
             "timing",
@@ -348,7 +474,8 @@ fn main() {
         .field("kernels", kernels)
         .field("kernel_summary", kernel_summary)
         .field("training", training)
-        .field("inference", inference);
+        .field("inference", inference)
+        .field("predictor_search", predictor_search);
     write_json_file(&args.out, &doc);
     println!("saved {}", args.out.display());
 
@@ -358,5 +485,8 @@ fn main() {
         }
         std::process::exit(1);
     }
-    println!("determinism checks passed: kernels exact, weight checksums match");
+    println!(
+        "determinism checks passed: kernels exact, weight checksums match, \
+         predictor-driven plans identical"
+    );
 }

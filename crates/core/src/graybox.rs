@@ -2,6 +2,8 @@
 //! predictors → predict everything (§VI, Fig. 7).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -52,16 +54,31 @@ impl GrayBoxConfig {
     }
 }
 
+/// One memoized prediction per (stage, scenario); its cell is the
+/// single flight concurrent queries for the key wait on.
+type PredictionMemo = Mutex<HashMap<(StageSpec, MeshShape, ParallelConfig), Arc<OnceLock<f64>>>>;
+
 /// A fitted PredTOP instance: one trained predictor per (sub-mesh,
 /// configuration) scenario, usable as a drop-in
 /// [`StageLatencyProvider`] for the inter-stage optimizer.
+///
+/// Queries run concurrently: each (stage, scenario) forward runs once,
+/// outside every lock, and racing queries on one key wait for that
+/// forward instead of repeating it. A stage's input sample is built
+/// once and shared by its scenarios' forwards.
 pub struct PredTop {
     predictors: HashMap<(MeshShape, ParallelConfig), TrainedPredictor>,
-    prediction_cache: Mutex<HashMap<(StageSpec, MeshShape, ParallelConfig), f64>>,
+    predictions: PredictionMemo,
+    /// Input samples of the stages whose scenarios are not all
+    /// predicted yet; an entry is dropped with its last forward.
+    samples: Mutex<HashMap<StageSpec, Arc<StageSample>>>,
+    forwards: AtomicUsize,
     pe_dim: usize,
-    /// Wall-clock seconds spent training all scenario predictors.
+    /// Wall-clock seconds spent training all scenario predictors,
+    /// summed over the scenarios (which train concurrently).
     pub training_seconds: f64,
-    /// Wall-clock seconds spent on inference so far.
+    /// Wall-clock seconds of inference so far, summed over forwards
+    /// (which run concurrently).
     inference_seconds: Mutex<f64>,
     /// Number of stages profiled during the fitting phase.
     pub profiled_stage_count: usize,
@@ -103,10 +120,11 @@ impl PredTop {
 
         // Scenario-level parallelism: every (sub-mesh, configuration)
         // cell is an independent training run, so the fleet fans out
-        // over scenarios while each cell trains serially inside (no
-        // thread oversubscription, and each cell's weights stay
-        // bit-identical to a fully serial fit because its init seed and
-        // data order depend only on its enumeration index).
+        // over scenarios while each cell trains serially inside (its
+        // GEMMs run inline on the worker, so the pool is never
+        // oversubscribed, and each cell's weights stay bit-identical to
+        // a fully serial fit because its init seed and data order
+        // depend only on its enumeration index).
         let scenarios: Vec<(u64, MeshShape, ParallelConfig)> = candidate_submeshes(cluster)
             .into_iter()
             .flat_map(|mesh| table3_configs(mesh).into_iter().map(move |c| (mesh, c)))
@@ -145,13 +163,25 @@ impl PredTop {
             predictors.insert((mesh, config), predictor);
         }
 
+        PredTop::assemble(predictors, pe_dim, training_seconds, stages.len(), reports)
+    }
+
+    fn assemble(
+        predictors: HashMap<(MeshShape, ParallelConfig), TrainedPredictor>,
+        pe_dim: usize,
+        training_seconds: f64,
+        profiled_stage_count: usize,
+        reports: Vec<(MeshShape, ParallelConfig, TrainReport)>,
+    ) -> PredTop {
         PredTop {
             predictors,
-            prediction_cache: Mutex::new(HashMap::new()),
+            predictions: Mutex::new(HashMap::new()),
+            samples: Mutex::new(HashMap::new()),
+            forwards: AtomicUsize::new(0),
             pe_dim,
             training_seconds,
             inference_seconds: Mutex::new(0.0),
-            profiled_stage_count: stages.len(),
+            profiled_stage_count,
             reports,
         }
     }
@@ -194,24 +224,49 @@ impl PredTop {
         self.predictors.keys()
     }
 
-    /// Wall-clock seconds spent on inference so far.
+    /// Wall-clock seconds of inference so far, summed over forwards:
+    /// concurrent forwards each add their own time, so under a parallel
+    /// search this can exceed the search's wall-clock (like
+    /// [`PredTop::training_seconds`]).
     pub fn inference_seconds(&self) -> f64 {
         *self.inference_seconds.lock()
     }
 
-    /// Predict latencies of `stage` for every scenario at once (one
-    /// sample construction amortized over all predictors) and memoize.
-    fn predict_all_scenarios(&self, stage: &StageSpec) {
-        let started = Instant::now();
-        let sample = GraphSample::new(&stage.build_graph(), 1.0, self.pe_dim);
-        let mut cache = self.prediction_cache.lock();
-        for (&(mesh, config), predictor) in &self.predictors {
-            let pred = predictor.predict(&sample).max(1e-9);
-            cache.insert((*stage, mesh, config), pred);
-        }
-        drop(cache);
-        *self.inference_seconds.lock() += started.elapsed().as_secs_f64();
+    /// Predictor forwards run so far: one per distinct (stage,
+    /// scenario) ever queried, however many threads raced on it. A pure
+    /// function of the set of queries, like
+    /// [`SimProfiler::queries_issued`].
+    pub fn forwards_issued(&self) -> usize {
+        self.forwards.load(Ordering::Relaxed)
     }
+
+    /// Run `predictor`'s forward on `stage`'s sample, building the
+    /// sample on the stage's first forward and dropping it after the
+    /// last scenario's.
+    fn forward(&self, stage: &StageSpec, predictor: &TrainedPredictor) -> f64 {
+        let started = Instant::now();
+        let entry = Arc::clone(self.samples.lock().entry(*stage).or_default());
+        let sample = entry
+            .sample
+            .get_or_init(|| GraphSample::new(&stage.build_graph(), 1.0, self.pe_dim));
+        let pred = predictor.predict(sample).max(1e-9);
+        self.forwards.fetch_add(1, Ordering::Relaxed);
+        // the memo runs each (stage, scenario) forward exactly once, so
+        // the count reaches the scenario count exactly once per stage
+        if entry.served.fetch_add(1, Ordering::Relaxed) + 1 == self.predictors.len() {
+            self.samples.lock().remove(stage);
+        }
+        *self.inference_seconds.lock() += started.elapsed().as_secs_f64();
+        pred
+    }
+}
+
+/// A stage's inference sample, built once by the first forward that
+/// needs it, with the number of scenario forwards that have used it.
+#[derive(Default)]
+struct StageSample {
+    sample: OnceLock<GraphSample>,
+    served: AtomicUsize,
 }
 
 /// Version byte heading every gray-box snapshot encoding.
@@ -310,15 +365,13 @@ pub fn decode_graybox(bytes: &[u8], cfg: &GrayBoxConfig) -> Result<PredTop, Arti
         predictors.insert((mesh, config), predictor);
     }
     r.finish().map_err(ArtifactError::Decode)?;
-    Ok(PredTop {
+    Ok(PredTop::assemble(
         predictors,
-        prediction_cache: Mutex::new(HashMap::new()),
-        pe_dim: cfg.arch.pe_dim(),
-        training_seconds: 0.0,
-        inference_seconds: Mutex::new(0.0),
+        cfg.arch.pe_dim(),
+        0.0,
         profiled_stage_count,
-        reports: Vec::new(),
-    })
+        Vec::new(),
+    ))
 }
 
 /// 90/10 train/validation split over `n` fitted samples (no test part:
@@ -335,20 +388,16 @@ fn fit_split(n: usize) -> Split {
 
 impl StageLatencyProvider for PredTop {
     fn stage_latency(&self, stage: &StageSpec, mesh: MeshShape, config: ParallelConfig) -> f64 {
-        let key = (*stage, mesh, config);
-        if let Some(&t) = self.prediction_cache.lock().get(&key) {
-            return t;
-        }
-        assert!(
-            self.predictors.contains_key(&(mesh, config)),
-            "no predictor trained for scenario ({mesh:?}, {config:?})"
+        let Some(predictor) = self.predictors.get(&(mesh, config)) else {
+            panic!("no predictor trained for scenario ({mesh:?}, {config:?})");
+        };
+        let cell = Arc::clone(
+            self.predictions
+                .lock()
+                .entry((*stage, mesh, config))
+                .or_default(),
         );
-        self.predict_all_scenarios(stage);
-        *self
-            .prediction_cache
-            .lock()
-            .get(&key)
-            .expect("just inserted")
+        *cell.get_or_init(|| self.forward(stage, predictor))
     }
 }
 
@@ -463,6 +512,49 @@ mod tests {
         }
         let mre = mean_relative_error(&preds, &truth);
         assert!(mre < 60.0, "in-sample MRE {mre:.1}% is way off");
+    }
+
+    #[test]
+    fn racing_and_repeated_queries_forward_once_per_key() {
+        let profiler = SimProfiler::new(Platform::platform1(), 7);
+        let pt = PredTop::fit(tiny_model(), MeshShape::new(1, 2), &profiler, &tiny_cfg());
+        let stage = StageSpec::new(tiny_model(), 0, 5);
+        let (mesh, config) = (MeshShape::new(1, 2), ParallelConfig::new(2, 1));
+        assert_eq!(pt.forwards_issued(), 0);
+
+        let start = std::sync::Barrier::new(8);
+        let answers: Vec<u64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        pt.stage_latency(&stage, mesh, config).to_bits()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(answers.iter().all(|&a| a == answers[0]));
+        assert_eq!(
+            pt.forwards_issued(),
+            1,
+            "racing queries on one key forward once"
+        );
+
+        let again = pt.stage_latency(&stage, mesh, config);
+        assert_eq!(again.to_bits(), answers[0]);
+        assert_eq!(pt.forwards_issued(), 1, "a repeated query forwards nothing");
+
+        // every other scenario of the stage adds exactly its own forward,
+        // and the stage's sample is dropped after the last one
+        for &(m, c) in pt.scenarios() {
+            pt.stage_latency(&stage, m, c);
+        }
+        assert_eq!(pt.forwards_issued(), pt.scenarios().count());
+        assert!(
+            pt.samples.lock().is_empty(),
+            "a fully served stage keeps its sample"
+        );
     }
 
     fn fresh_store(name: &str) -> Store {

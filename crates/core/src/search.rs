@@ -10,6 +10,7 @@
 //! `predtop serve` engine holds its own long-lived stack and calls
 //! [`search_plan_service`] directly.
 
+use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -21,7 +22,9 @@ use predtop_parallel::{
     MeshShape, ParallelConfig, PipelinePlan,
 };
 use predtop_runtime::configured_threads;
-use predtop_service::{LatencyQuery, LatencyService, ServiceBuilder, ServiceError, ServiceStack};
+use predtop_service::{
+    LatencyQuery, LatencyService, Retryability, ServiceBuilder, ServiceError, ServiceStack,
+};
 use predtop_sim::SimProfiler;
 use predtop_store::{ByteWriter, ObjectKind, Store};
 
@@ -62,6 +65,58 @@ pub struct SearchOutcome {
     pub service: Option<ServiceReport>,
 }
 
+/// Why a plan search returned no plan.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SearchError {
+    /// A candidate query failed after the whole stack (including any
+    /// `Fallback` chain) had been consulted.
+    Service(ServiceError),
+    /// The static-legality filter rejected every covering partition,
+    /// so no legal plan exists for the request. Permanent: the same
+    /// search can never succeed.
+    NoPlan {
+        /// Enumerated candidates the filter rejected.
+        rejected: usize,
+        /// How many of those the memory-capacity rule (`P1401`)
+        /// rejected.
+        rejected_memory: usize,
+    },
+}
+
+impl SearchError {
+    /// Whether retrying the same search may succeed.
+    pub fn retryability(&self) -> Retryability {
+        match self {
+            SearchError::Service(e) => e.retryability(),
+            SearchError::NoPlan { .. } => Retryability::Permanent,
+        }
+    }
+}
+
+impl From<ServiceError> for SearchError {
+    fn from(e: ServiceError) -> SearchError {
+        SearchError::Service(e)
+    }
+}
+
+impl fmt::Display for SearchError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SearchError::Service(e) => e.fmt(f),
+            SearchError::NoPlan {
+                rejected,
+                rejected_memory,
+            } => write!(
+                f,
+                "no legal plan: the legality filter rejected every covering partition \
+                 ({rejected} candidates rejected, {rejected_memory} by the liveness memory bound)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SearchError {}
+
 /// The service-driven engine every search runs through: run the
 /// inter-stage DP for `model` on `cluster` with `stack` as the latency
 /// source, then re-evaluate the winning plan with the ground-truth
@@ -75,13 +130,12 @@ pub struct SearchOutcome {
 /// bit-identical plans, so any transparent middleware combination
 /// chooses the same plan.
 ///
-/// Errors if any candidate query fails after the whole stack (including
-/// any `Fallback` chain) has been consulted.
-///
-/// # Panics
-/// Panics if no legal covering partition exists — in particular when
-/// `opts.microbatches` does not divide `model.batch` (`P1301` rejects
-/// every candidate).
+/// # Errors
+/// [`SearchError::Service`] if any candidate query fails after the
+/// whole stack (including any `Fallback` chain) has been consulted;
+/// [`SearchError::NoPlan`] if no legal covering partition exists — in
+/// particular when `opts.microbatches` does not divide `model.batch`
+/// (`P1301` rejects every candidate) or no stage fits device memory.
 pub fn search_plan_service<S: LatencyService>(
     model: ModelSpec,
     cluster: MeshShape,
@@ -89,7 +143,7 @@ pub fn search_plan_service<S: LatencyService>(
     profiler: &SimProfiler,
     opts: InterStageOptions,
     legality: Option<&StaticLegality>,
-) -> Result<SearchOutcome, ServiceError> {
+) -> Result<SearchOutcome, SearchError> {
     let started = Instant::now();
 
     // Phase 1: enumerate + static filter, in the canonical work-list
@@ -138,13 +192,18 @@ pub fn search_plan_service<S: LatencyService>(
     }
 
     // Phase 3: the shared DP.
+    // unfiltered searches always have the single full-mesh stage, so
+    // only a legality filter can leave no covering partition
     let (estimated_latency, plan) = solve_pipeline(
         &cands,
         model.num_layers,
         cluster.num_devices(),
         opts.microbatches,
     )
-    .expect("no covering partition survived the filter (unfiltered searches always have the single full-mesh stage)");
+    .ok_or(SearchError::NoPlan {
+        rejected: num_rejected,
+        rejected_memory: num_rejected_memory,
+    })?;
     let search_seconds = started.elapsed().as_secs_f64();
     let true_latency = plan.latency(profiler);
 
@@ -240,15 +299,15 @@ impl<'a> SearchRequest<'a> {
 /// write-behind: an unwritable store degrades persistence, never the
 /// search result).
 ///
-/// # Panics
-/// Panics if no legal covering partition exists — in particular when
-/// `opts.microbatches` does not divide `model.batch` (`P1301` rejects
-/// every candidate).
+/// # Errors
+/// As [`search_plan_service`]: a failed candidate query, or
+/// [`SearchError::NoPlan`] when the legality filter leaves no covering
+/// partition.
 pub fn run_search<S: LatencyService>(
     req: &SearchRequest<'_>,
     source: S,
     profiler: &SimProfiler,
-) -> Result<SearchOutcome, ServiceError> {
+) -> Result<SearchOutcome, SearchError> {
     match &req.store {
         Some((store, namespace)) => {
             let stack = ServiceBuilder::new(source)
@@ -397,6 +456,36 @@ mod tests {
         out.plan.validate(&tiny_model()).unwrap();
         assert!((out.estimated_latency - out.true_latency).abs() < 1e-12);
         assert!(out.num_queries > 0);
+    }
+
+    #[test]
+    fn checked_search_with_no_legal_plan_returns_a_permanent_error() {
+        let mut platform = Platform::platform1();
+        platform.gpu.memory_gib = 1e-6;
+        let profiler = SimProfiler::new(platform, 7);
+        let cluster = MeshShape::new(1, 2);
+        let opts = InterStageOptions {
+            microbatches: 2,
+            imbalance_tolerance: None,
+        };
+        let legality = search_legality(tiny_model(), &profiler, opts);
+        let req = SearchRequest::new(tiny_model(), cluster, opts).legality(&legality);
+        let enumerated = enumerate_candidates(tiny_model(), cluster, opts).len();
+        match run_search(&req, &profiler, &profiler) {
+            Err(
+                e @ SearchError::NoPlan {
+                    rejected,
+                    rejected_memory,
+                },
+            ) => {
+                assert_eq!(rejected, enumerated, "every candidate was rejected");
+                assert!(rejected_memory > 0 && rejected_memory <= rejected);
+                assert_eq!(e.retryability(), Retryability::Permanent);
+                assert!(e.to_string().contains(&format!("{rejected} candidates")));
+            }
+            other => panic!("expected NoPlan, got {other:?}"),
+        }
+        assert_eq!(profiler.queries_issued(), 0, "nothing was left to evaluate");
     }
 
     #[test]

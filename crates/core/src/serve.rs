@@ -42,7 +42,7 @@ use predtop_store::Store;
 
 use crate::analytic::AnalyticBaseline;
 use crate::artifacts::decode_predictor;
-use crate::search::{persist_search_snapshots, search_legality, search_plan_service};
+use crate::search::{persist_search_snapshots, search_legality, search_plan_service, SearchError};
 
 /// Everything that shapes one serving engine: the platform and seed the
 /// simulator runs, the stack knobs the `search` command exposes as
@@ -328,7 +328,10 @@ impl ServeEngine {
             opts,
             legality.as_ref(),
         );
-        self.admission.record(result.is_ok());
+        // a search with no legal plan is answered with a refusal: the
+        // engine worked, so the breaker does not count it as a failure
+        self.admission
+            .record(!matches!(result, Err(SearchError::Service(_))));
         match result {
             Ok(out) => {
                 self.served.fetch_add(1, Ordering::SeqCst);
@@ -352,7 +355,8 @@ impl ServeEngine {
                     num_rejected_memory: out.num_rejected_memory,
                 })
             }
-            Err(e) => Response::Error(error_body(&e)),
+            Err(SearchError::Service(e)) => Response::Error(error_body(&e)),
+            Err(e @ SearchError::NoPlan { .. }) => bad_request(e.to_string()),
         }
     }
 
@@ -655,6 +659,37 @@ mod tests {
             stats.ledgers.iter().any(|l| l.name == "breaker"),
             "admission ledger rides along"
         );
+    }
+
+    #[test]
+    fn a_search_with_no_legal_plan_is_refused_without_tripping_admission() {
+        // a device too small for any stage: the memory rule rejects
+        // every candidate, so no covering partition survives
+        let mut platform = Platform::platform1();
+        platform.gpu.memory_gib = 1e-6;
+        let mut config = EngineConfig::new(platform, "tiny-gpu", 7);
+        config.breaker = BreakerConfig::tripping_after(1);
+        let engine = ServeEngine::new(config).unwrap();
+        let spec = api::SearchSpec {
+            model: tiny_model(),
+            microbatches: 2,
+            imbalance_tolerance: None,
+            checked: true,
+        };
+        // with a one-failure breaker, a refusal counted as a failure
+        // would shed the second request
+        for _ in 0..3 {
+            match engine.handle(&Request::Search(spec.clone())) {
+                Response::Error(e) => {
+                    assert_eq!(e.kind, ErrorKind::BadRequest);
+                    assert!(!e.transient, "no legal plan is permanent");
+                    assert!(e.message.contains("no legal plan"), "{}", e.message);
+                }
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+        }
+        assert_eq!(engine.shed(), 0);
+        assert_eq!(engine.served(), 0);
     }
 
     #[test]

@@ -13,9 +13,27 @@
 //! parallelism), clamped to the item count. An unparsable
 //! `PREDTOP_THREADS` value warns once on stderr and falls back to the
 //! default rather than silently ignoring the operator's intent.
+//!
+//! Nested fan-outs run inline: a [`par_map_with`] or
+//! [`par_map_chunked`] call made on one of the pool's own workers maps
+//! its items serially on that worker (see [`in_worker`]). The outer
+//! fan-out already occupies the pool, so a nested one could only
+//! oversubscribe the cores; results are identical either way.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, Once};
+
+thread_local! {
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// True on a worker thread of [`par_map_with`] (and so of
+/// [`par_map_chunked`] and [`crate::par_tiles`]). Fan-outs requested
+/// there run inline on the calling worker.
+pub fn in_worker() -> bool {
+    IN_WORKER.with(Cell::get)
+}
 
 /// Parse a `PREDTOP_THREADS` value. Returns `None` when the string is
 /// not a base-10 unsigned integer (callers decide the fallback); `0`
@@ -52,7 +70,8 @@ pub fn configured_threads() -> usize {
 
 /// Map `f` over `items` on up to `threads` workers, preserving input
 /// order in the output. Panics in `f` propagate after all workers stop
-/// claiming new work.
+/// claiming new work. Called on a pool worker ([`in_worker`]), the map
+/// runs inline on that worker.
 pub fn par_map_with<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -64,7 +83,7 @@ where
         return Vec::new();
     }
     let threads = threads.clamp(1, n);
-    if threads == 1 {
+    if threads == 1 || in_worker() {
         return items.into_iter().map(f).collect();
     }
 
@@ -76,20 +95,23 @@ where
     let panicked = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+                scope.spawn(|| {
+                    IN_WORKER.with(|w| w.set(true));
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let item = slots[i]
+                            .lock()
+                            .expect("slot lock never poisoned: f runs outside it")
+                            .take()
+                            .expect("each index claimed once");
+                        let r = f(item);
+                        *results[i]
+                            .lock()
+                            .expect("result lock never poisoned: f runs outside it") = Some(r);
                     }
-                    let item = slots[i]
-                        .lock()
-                        .expect("slot lock never poisoned: f runs outside it")
-                        .take()
-                        .expect("each index claimed once");
-                    let r = f(item);
-                    *results[i]
-                        .lock()
-                        .expect("result lock never poisoned: f runs outside it") = Some(r);
                 })
             })
             .collect();
@@ -175,8 +197,9 @@ pub fn chunk_size_for(len: usize, threads: usize, oversubscription: usize) -> us
 /// chunks (see [`chunk_size_for`]) and the *chunks* are the pool's work
 /// items — each worker claims a chunk and maps it serially, so per-item
 /// pool overhead is paid once per chunk instead of once per item.
-/// Batches of at most `serial_threshold` items (and all single-thread
-/// calls) skip dispatch entirely and map inline.
+/// Batches of at most `serial_threshold` items, all single-thread
+/// calls and calls made on a pool worker skip dispatch entirely and map
+/// inline.
 ///
 /// Determinism: chunks are contiguous input slices evaluated
 /// left-to-right within a worker and re-flattened in chunk order, so the
@@ -195,7 +218,7 @@ where
     F: Fn(T) -> R + Sync,
 {
     let n = items.len();
-    if threads.max(1) == 1 || n <= serial_threshold {
+    if threads.max(1) == 1 || n <= serial_threshold || in_worker() {
         return (items.into_iter().map(f).collect(), ChunkDispatch::INLINE);
     }
     let chunk_size = chunk_size_for(n, threads, oversubscription);
@@ -341,6 +364,40 @@ mod tests {
         let (out, d) = par_map_chunked(Vec::<usize>::new(), 8, 4, 0, |x| x);
         assert!(out.is_empty());
         assert!(!d.dispatched, "empty batch is inline");
+    }
+
+    // ---- nested fan-out -------------------------------------------
+
+    #[test]
+    fn nested_fan_outs_run_inline_on_the_calling_worker() {
+        assert!(!in_worker(), "the test thread is not a pool worker");
+        let items: Vec<usize> = (0..200).collect();
+        let expected: Vec<usize> = items.iter().map(|x| x * 7).collect();
+        let outer = par_map_with(vec![0usize, 1, 2, 3], 4, |_| {
+            assert!(in_worker());
+            let me = std::thread::current().id();
+            let nested = par_map_with(items.clone(), 8, |x| (std::thread::current().id(), x * 7));
+            let (chunked, dispatch) = par_map_chunked(items.clone(), 8, 4, 0, |x| {
+                (std::thread::current().id(), x * 7)
+            });
+            (me, nested, chunked, dispatch)
+        });
+        for (me, nested, chunked, dispatch) in outer {
+            assert_eq!(
+                dispatch,
+                ChunkDispatch::INLINE,
+                "nested batches never dispatch"
+            );
+            for (tid, _) in nested.iter().chain(&chunked) {
+                assert_eq!(*tid, me, "a nested item ran off its calling worker");
+            }
+            let values = |v: &[(std::thread::ThreadId, usize)]| -> Vec<usize> {
+                v.iter().map(|&(_, x)| x).collect()
+            };
+            assert_eq!(values(&nested), expected);
+            assert_eq!(values(&chunked), expected);
+        }
+        assert!(!in_worker(), "the flag stays on the pool's threads");
     }
 
     #[test]

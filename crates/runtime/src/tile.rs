@@ -106,8 +106,9 @@ pub fn tile_grid(
 }
 
 /// Run `f` once per tile of `grid` across up to `threads` workers via
-/// [`par_map_chunked`]. Single-tile grids (and one-thread calls) run
-/// inline on the caller's thread. Returns the dispatch accounting.
+/// [`par_map_chunked`]. Single-tile grids, one-thread calls and calls
+/// made on a pool worker run inline on the caller's thread. Returns the
+/// dispatch accounting.
 pub fn par_tiles<F>(grid: &TileGrid, threads: usize, f: F) -> ChunkDispatch
 where
     F: Fn(&Tile) + Sync,
@@ -125,7 +126,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::par_map_with;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
 
     fn covers_exactly(grid: &TileGrid, m: usize, n: usize) {
         let mut hit = vec![0u8; m * n];
@@ -214,6 +217,25 @@ mod tests {
             });
             assert_eq!(seen.load(Ordering::Relaxed) as usize, grid.tiles.len());
             assert_eq!(area.load(Ordering::Relaxed), 64 * 96);
+        }
+    }
+
+    #[test]
+    fn par_tiles_on_a_pool_worker_runs_inline() {
+        let grid = tile_grid(64, 96, 8, 8, 32);
+        assert!(grid.tiles.len() > 1);
+        let outer = par_map_with(vec![0u8, 1], 2, |_| {
+            let me = std::thread::current().id();
+            let visited = Mutex::new(Vec::new());
+            let dispatch = par_tiles(&grid, 8, |t| {
+                assert_eq!(std::thread::current().id(), me, "tile ran off its worker");
+                visited.lock().unwrap().push(t.index);
+            });
+            (dispatch, visited.into_inner().unwrap())
+        });
+        for (dispatch, visited) in outer {
+            assert_eq!(dispatch, ChunkDispatch::INLINE);
+            assert_eq!(visited, (0..grid.tiles.len()).collect::<Vec<_>>());
         }
     }
 }

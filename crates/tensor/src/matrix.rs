@@ -418,10 +418,14 @@ impl Matrix {
 }
 
 /// Worker count for an `m·k·n` multiply-add kernel: 1 below the
-/// parallelism threshold, else the configured thread count capped at the
-/// output row count.
+/// parallelism threshold or on a pool worker (nested fan-outs run
+/// inline, see [`predtop_runtime::in_worker`]), else the configured
+/// thread count capped at the output row count.
 fn par_threads(m: usize, k: usize, n: usize) -> usize {
-    if m.saturating_mul(k).saturating_mul(n) < PAR_MIN_MULADDS || m < 2 {
+    if m.saturating_mul(k).saturating_mul(n) < PAR_MIN_MULADDS
+        || m < 2
+        || predtop_runtime::in_worker()
+    {
         return 1;
     }
     predtop_runtime::configured_threads().min(m)
@@ -670,6 +674,30 @@ mod tests {
                 );
                 assert_eq!(out, at.matmul_tn_ref(&b2), "matmul_tn diverged at {ctx}");
             }
+        }
+    }
+
+    /// A GEMM above `PAR_MIN_MULADDS` issued from a pool worker runs
+    /// inline on that worker and still matches the reference bit for
+    /// bit, for every variant.
+    #[test]
+    fn gemm_on_a_pool_worker_matches_the_reference() {
+        let n = 128;
+        assert!(
+            n * n * n >= PAR_MIN_MULADDS,
+            "the shape must be parallel-sized"
+        );
+        let a = pair_matrix(31, n, n);
+        let b = pair_matrix(37, n, n);
+        let outs = predtop_runtime::par_map_with(vec![(); 2], 2, |()| {
+            assert!(predtop_runtime::in_worker());
+            assert_eq!(par_threads(n, n, n), 1, "nested GEMMs stay on the worker");
+            (a.matmul(&b), a.matmul_nt(&b), a.matmul_tn(&b))
+        });
+        for (mm, nt, tn) in outs {
+            assert_eq!(mm, a.matmul_ref(&b));
+            assert_eq!(nt, a.matmul_nt_ref(&b));
+            assert_eq!(tn, a.matmul_tn_ref(&b));
         }
     }
 

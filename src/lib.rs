@@ -75,8 +75,8 @@ pub mod prelude {
     pub use predtop_core::{
         encode_outcome, encode_plan, load_model_service, pipeline_latency, run_search,
         search_legality, search_plan_service, search_snapshot_key, AnalyticBaseline, ArchConfig,
-        EngineConfig, GrayBoxConfig, PredTop, SearchOutcome, SearchRequest, ServeEngine,
-        ServiceReport,
+        EngineConfig, GrayBoxConfig, PredTop, SearchError, SearchOutcome, SearchRequest,
+        ServeEngine, ServiceReport,
     };
     pub use predtop_gnn::{
         mean_relative_error, train, Dataset, GraphSample, ModelKind, TrainConfig, TrainedPredictor,

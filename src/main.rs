@@ -451,7 +451,9 @@ fn cmd_profile(args: &Args) {
 
 /// Render a failed request for the terminal — the CLI's side of the
 /// error redesign: every failure class gets its retryability and an
-/// actionable hint.
+/// actionable hint. A refused request (`BadRequest`, e.g. a checked
+/// search with no legal plan) exits 2 like the other rejected inputs;
+/// every other failure exits 1.
 fn die_api_error(e: &api::ErrorBody) -> ! {
     let class = if e.transient {
         "transient"
@@ -470,7 +472,11 @@ fn die_api_error(e: &api::ErrorBody) -> ! {
     };
     eprintln!("search failed ({class}): {}", e.message);
     eprintln!("  hint: {hint}");
-    exit(1)
+    exit(if e.kind == api::ErrorKind::BadRequest {
+        2
+    } else {
+        1
+    })
 }
 
 fn cmd_search(args: &Args) {

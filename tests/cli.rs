@@ -499,6 +499,31 @@ fn search_with_zero_deadline_reports_a_structured_error() {
 }
 
 #[test]
+fn search_checked_without_a_legal_plan_exits_2_with_the_counts() {
+    // the full-size GPT-3 on Platform 2 at batch 8: sharding and the
+    // memory bound reject every covering partition
+    let out = predtop()
+        .args([
+            "search",
+            "--platform",
+            "2",
+            "--microbatches",
+            "8",
+            "--checked",
+        ])
+        .output()
+        .expect("run predtop search");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(
+        err.contains("search failed (permanent): no legal plan"),
+        "{err}"
+    );
+    assert!(err.contains("by the liveness memory bound"), "{err}");
+}
+
+#[test]
 fn search_rejects_an_out_of_range_fault_rate() {
     let out = predtop()
         .args(["search", "--scaled", "--inject-fault-rate", "1.5"])

@@ -101,3 +101,59 @@ fn random_plans_reproduce_per_seed() {
         assert_eq!(a, b);
     }
 }
+
+#[test]
+fn predictor_search_is_bit_identical_across_thread_counts_and_forwards_once() {
+    let m = tiny_model();
+    let cluster = MeshShape::new(2, 2);
+    let opts = InterStageOptions {
+        microbatches: 2,
+        imbalance_tolerance: None,
+    };
+    let mut arch = ArchConfig::scaled(ModelKind::DagTransformer);
+    arch.layers = 1;
+    arch.hidden = 16;
+    arch.heads = 2;
+    let cfg = GrayBoxConfig {
+        num_profile_stages: 12,
+        max_stage_layers: 3,
+        arch,
+        train: TrainConfig::quick(4),
+        seed: 5,
+    };
+    let profiler = SimProfiler::new(Platform::platform2(), 6);
+    let fitted = PredTop::fit(m, cluster, &profiler, &cfg);
+    let snapshot = predtop::core::encode_graybox(&fitted, &cfg);
+    let distinct: std::collections::HashSet<_> =
+        predtop::parallel::enumerate_candidates(m, cluster, opts)
+            .into_iter()
+            .collect();
+
+    let mut reference: Option<(Vec<u8>, u64)> = None;
+    for threads in [1, 2, 4, 8] {
+        // a fresh instance per thread count, so each search starts cold
+        let pt = predtop::core::decode_graybox(&snapshot, &cfg).expect("snapshot round-trips");
+        let req = SearchRequest::new(m, cluster, opts).threads(threads);
+        let out = run_search(&req, &pt, &profiler).expect("every scenario was fitted");
+        assert_eq!(
+            pt.forwards_issued(),
+            distinct.len(),
+            "{threads} threads: one forward per distinct (stage, scenario) query"
+        );
+        let got = (
+            predtop::core::encode_plan(&out.plan),
+            out.estimated_latency.to_bits(),
+        );
+        match &reference {
+            None => reference = Some(got),
+            Some(want) => assert_eq!(&got, want, "{threads} threads changed the plan"),
+        }
+        // a repeated search is answered from the memo
+        run_search(&req, &pt, &profiler).expect("every scenario was fitted");
+        assert_eq!(
+            pt.forwards_issued(),
+            distinct.len(),
+            "a repeat re-ran a forward"
+        );
+    }
+}

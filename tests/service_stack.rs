@@ -150,6 +150,9 @@ fn exhausted_fallback_chain_surfaces_the_error() {
         .finish();
     let err = search_plan_service(model, cluster, &dead, &profiler, opts(), None)
         .expect_err("a dead chain cannot serve a search");
+    let SearchError::Service(err) = err else {
+        panic!("expected the chain's service error, got {err:?}");
+    };
     assert_eq!(err.source(), "analytic", "the last hop owns the error");
 }
 
